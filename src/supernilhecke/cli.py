@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 
@@ -68,13 +69,19 @@ def cmd_act(args) -> int:
     return 0
 
 
-def cmd_schur(args) -> int:
+def _parts(text: str) -> tuple[int, ...]:
     try:
-        alpha = tuple(json.loads(args.alpha))
-        beta = tuple(json.loads(args.beta))
+        parts = json.loads(text)
     except json.JSONDecodeError as exc:
         raise UsageError(f"superpartition parts must be JSON arrays: {exc}")
-    sp = Superpartition(alpha, beta)
+    if not isinstance(parts, list) or not all(
+            isinstance(v, int) and not isinstance(v, bool) for v in parts):
+        raise UsageError(f"superpartition parts must be JSON arrays of integers: {text}")
+    return tuple(parts)
+
+
+def cmd_schur(args) -> int:
+    sp = Superpartition(_parts(args.alpha), _parts(args.beta))
     res = schur_super(args.n, args.m, sp)
     _emit(args, {"terms": res.to_json_terms()}, repr(res))
     return 0
@@ -202,9 +209,10 @@ def cmd_verify(args) -> int:
     else:
         raise UsageError(f"unknown suite {args.suite!r}")
     results = {}
-    if args.jobs > 1 and len(names) > 1:
+    workers = _worker_count(args.jobs, len(names))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {name: pool.submit(_run_suite_entry, name, n, m, args.N, qcut, seed)
                        for name in names}
             for name in names:
@@ -221,6 +229,11 @@ def cmd_verify(args) -> int:
         text += "\n" + "\n".join(failures)
     _emit(args, payload, text)
     return 0 if not failures else 1
+
+
+def _worker_count(jobs: int, nsuites: int) -> int:
+    """--jobs clamped to 1..min(number of suites, number of CPUs)."""
+    return max(1, min(jobs, nsuites, os.cpu_count() or 1))
 
 
 def _run_suite_entry(name, n, m, N, qcut, seed):
@@ -245,7 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="seed for randomized suites")
     shared.add_argument("--format", choices=("json", "text"), default="json")
     shared.add_argument("--jobs", type=int, default=1,
-                        help="parallel workers for verify all")
+                        help="parallel workers for verify all, at most one "
+                             "per suite and per CPU")
 
     parser = argparse.ArgumentParser(
         prog="supernilhecke",
@@ -297,6 +311,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_params(args) -> None:
+    """Parameter ranges shared by every command."""
+    if args.n < 0:
+        raise UsageError(f"--n must be >= 0, got {args.n}")
+    if args.command == "cyclotomic" and args.N < 0:
+        raise UsageError(f"--N must be >= 0 for cyclotomic, got {args.N}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -304,6 +326,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:
+        _check_params(args)
         return args.func(args)
     except (ParseError, UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,6 +11,7 @@ are finite in every homological degree.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import symgroup
 from .algebra import AlgebraElement, basis, TermKey
@@ -40,6 +41,13 @@ def generator_image(p: DgParams, i: int) -> SuperPolynomial:
     return h.scale(-1 if (p.N + p.m + 1 - i) & 1 else 1)
 
 
+@lru_cache(maxsize=64)
+def _generator_images(p: DgParams) -> dict[int, SuperPolynomial]:
+    """d_N on every odd generator, built once per parameter set; callers
+    only read the shared dict and its polynomials."""
+    return {i: generator_image(p, i) for i in range(1, p.n + 1)}
+
+
 def derivation_extend(n: int, m: int, images: dict[int, SuperPolynomial],
                       u: AlgebraElement) -> AlgebraElement:
     """Extend a map on the odd generators (even, central images) to an odd
@@ -67,8 +75,7 @@ def derivation_extend(n: int, m: int, images: dict[int, SuperPolynomial],
 
 def apply_dN(p: DgParams, u: AlgebraElement) -> AlgebraElement:
     """The differential d_N on a normal-form element."""
-    images = {i: generator_image(p, i) for i in range(1, p.n + 1)}
-    return derivation_extend(p.n, p.m, images, u)
+    return derivation_extend(p.n, p.m, _generator_images(p), u)
 
 
 def homological_degree(u: AlgebraElement) -> int | None:
@@ -87,7 +94,7 @@ def verify_d_squared(p: DgParams, qcut: int, samples: int = 50, seed: int = 0,
     default is d_N."""
     import random
     if images is None:
-        images = {i: generator_image(p, i) for i in range(1, p.n + 1)}
+        images = _generator_images(p)
 
     def d(u: AlgebraElement) -> AlgebraElement:
         return derivation_extend(p.n, p.m, images, u)
@@ -146,7 +153,7 @@ def _poly_monomials_at(n: int, m: int, q: int, h: int):
 
 def _poly_d_matrix(p: DgParams, domain, codomain_index):
     """Matrix of d_N from the given monomials to the indexed target monomials."""
-    images = {i: generator_image(p, i) for i in range(1, p.n + 1)}
+    images = _generator_images(p)
     rows = []
     for (xexp, omask) in domain:
         mono = AlgebraElement.monomial(p.n, p.m, xexp, omask, symgroup.identity(p.n))

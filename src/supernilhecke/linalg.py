@@ -1,171 +1,129 @@
 """
-Exact integer/rational linear algebra on small dense matrices.
+Exact integer/rational linear algebra.
 
-Matrices are lists of lists of Python ints (or Fractions where noted).
-Bareiss fraction-free elimination keeps everything integral for rank and
-determinant; solving goes through Fractions and reports non-integral
-solutions to the caller.
+Rank and determinant share one sparse elimination kernel over the integers:
+dict rows, Markowitz pivot order (the sparsest row with a unit entry first),
+and fraction-free row updates scaled by a gcd, so every result is exact over
+the rationals and no entry ever becomes a fraction.  The streaming
+`IntEchelon` serves incremental spanning-rank checks with early exit, and
+`solve` goes through Fractions and reports non-integral solutions to the
+caller.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from itertools import compress
+from math import gcd
 
 
-def rank(matrix: list[list[int]]) -> int:
-    """Rank over the rationals, by fraction-free (Bareiss) elimination."""
-    m = [row[:] for row in matrix]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    r = 0
-    prev = 1
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        for i in range(r + 1, rows):
-            for j in range(c + 1, cols):
-                m[i][j] = (m[r][c] * m[i][j] - m[i][c] * m[r][j]) // prev
-            m[i][c] = 0
-        prev = m[r][c]
-        r += 1
-        if r == rows:
-            break
-    return r
-
-
-def det(matrix: list[list[int]]) -> int:
-    """Determinant of a square integer matrix (Bareiss)."""
-    m = [row[:] for row in matrix]
-    size = len(m)
-    if size == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for c in range(size):
-        piv = next((i for i in range(c, size) if m[i][c] != 0), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            sign = -sign
-        for i in range(c + 1, size):
-            for j in range(c + 1, size):
-                m[i][j] = (m[c][c] * m[i][j] - m[i][c] * m[c][j]) // prev
-            m[i][c] = 0
-        prev = m[c][c]
-    return sign * m[size - 1][size - 1]
-
-
-def sparse_det(rows: list[dict[int, int]], size: int) -> int:
-    """Exact determinant of a square integer matrix given as sparse rows,
-    tuned for near-triangular unimodular matrices: peel singleton rows and
-    columns, then eliminate on unit pivots, falling back to dense Bareiss on
-    whatever dense core remains."""
-    if len(rows) != size:
-        raise ValueError("matrix is not square")
-    rows = [dict(r) for r in rows]
+def _eliminate(rows: list[dict[int, int]]):
+    """Sparse fraction-free elimination on integer rows {column: value},
+    which it consumes.  Returns (pivots, num, den): pivots lists
+    (row, column, value) in elimination order, and num/den is the factor by
+    which the row rescalings changed the determinant, so that for a square
+    nonsingular input det = sign * prod(values) * num / den, with sign the
+    parity of the permutation row -> column."""
     col_rows: dict[int, set[int]] = {}
     for i, r in enumerate(rows):
         for c in r:
             col_rows.setdefault(c, set()).add(i)
-    alive_rows = set(range(size))
-    alive_cols = set(col_rows)
-    if len(alive_cols) < size:
-        return 0
-    pivot_rows: list[int] = []
-    pivot_cols: list[int] = []
-    pivots: list[int] = []
-
-    def eliminate(ri: int, ci: int):
-        pval = rows[ri][ci]
-        for rj in list(col_rows[ci]):
-            if rj == ri or rj not in alive_rows:
-                continue
-            val = rows[rj][ci]
-            if val % pval:
-                return False  # non-unit pivot would need fractions
-            f = val // pval
-            for c, v in rows[ri].items():
-                nv = rows[rj].get(c, 0) - f * v
-                if nv:
-                    rows[rj][c] = nv
-                    col_rows.setdefault(c, set()).add(rj)
-                else:
-                    rows[rj].pop(c, None)
-                    col_rows[c].discard(rj)
-        pivot_rows.append(ri)
-        pivot_cols.append(ci)
-        pivots.append(pval)
-        alive_rows.discard(ri)
-        alive_cols.discard(ci)
-        for c in rows[ri]:
-            col_rows[c].discard(ri)
-        return True
-
-    progress = True
-    while alive_rows and progress:
-        progress = False
-        # singleton rows and columns eliminate with no fill
-        for ri in list(alive_rows):
-            live = {c: v for c, v in rows[ri].items() if c in alive_cols}
-            if len(live) == 1:
-                (ci, v), = live.items()
-                if v in (1, -1) and eliminate(ri, ci):
-                    progress = True
-        for ci in list(alive_cols):
-            live = [r for r in col_rows.get(ci, ()) if r in alive_rows]
-            if len(live) == 1 and rows[live[0]].get(ci, 0) in (1, -1):
-                if eliminate(live[0], ci):
-                    progress = True
-        if progress:
+    # live rows -> pivot order (no unit entry, length); the heap holds stale
+    # entries too, and an entry counts only while it matches `order`
+    order = {i: _pivot_order(r) for i, r in enumerate(rows) if r}
+    heap = [(k, i) for i, k in order.items()]
+    heapify(heap)
+    pivots: list[tuple[int, int, int]] = []
+    num = den = 1
+    while heap:
+        k, best = heappop(heap)
+        if order.get(best) != k:
             continue
-        # any unit entry, preferring sparse rows
-        best = None
-        for ri in alive_rows:
-            for c, v in rows[ri].items():
-                if c in alive_cols and v in (1, -1):
-                    cand = (len(rows[ri]), len(col_rows[c]), ri, c)
-                    if best is None or cand < best:
-                        best = cand
-        if best is not None:
-            _, _, ri, ci = best
-            if eliminate(ri, ci):
-                progress = True
-    if alive_rows:
-        # dense fallback on the remaining core
-        rrows = sorted(alive_rows)
-        rcols = sorted(alive_cols)
-        core = [[rows[r].get(c, 0) for c in rcols] for r in rrows]
-        d = det(core)
-        if d == 0:
-            return 0
-        pivot_rows.extend(rrows)
-        pivot_cols.extend(rcols)
-        pivots.append(d)
-    sign = _perm_parity(pivot_rows) * _perm_parity(pivot_cols)
-    out = sign
-    for p in pivots:
+        del order[best]
+        prow = rows[best]
+        c = min(prow, key=lambda cc: (abs(prow[cc]), len(col_rows[cc])))
+        p = prow[c]
+        pivots.append((best, c, p))
+        for cc in prow:
+            col_rows[cc].discard(best)
+        for j in list(col_rows[c]):
+            rj = rows[j]
+            v = rj[c]
+            g = gcd(p, v)
+            a, b = p // g, v // g
+            if a < 0:
+                a, b = -a, -b
+            if a != 1:  # row <- a*row - b*pivot row, then drop the content
+                for cc in rj:
+                    rj[cc] *= a
+                den *= a
+            for cc, pv in prow.items():
+                nv = rj.get(cc, 0) - b * pv
+                if nv:
+                    if cc not in rj:
+                        col_rows[cc].add(j)
+                    rj[cc] = nv
+                else:
+                    del rj[cc]
+                    col_rows[cc].discard(j)
+            if not rj:
+                del order[j]
+                continue
+            if a != 1:
+                content = gcd(*rj.values())
+                if content > 1:
+                    for cc in rj:
+                        rj[cc] //= content
+                    num *= content
+            k = _pivot_order(rj)
+            if k != order[j]:
+                order[j] = k
+                heappush(heap, (k, j))
+    return pivots, num, den
+
+
+def _pivot_order(row: dict[int, int]) -> tuple[int, int]:
+    """Markowitz order of a row: rows with a unit entry first, then sparsest."""
+    vals = row.values()
+    return (0 if 1 in vals or -1 in vals else 1, len(vals))
+
+
+def rank(matrix: list[list[int]]) -> int:
+    """Rank over the rationals of a dense integer matrix (list of rows)."""
+    pivots, _, _ = _eliminate([{j: row[j] for j in compress(range(len(row)), row)}
+                               for row in matrix])
+    return len(pivots)
+
+
+def sparse_det(rows: list[dict[int, int]], size: int) -> int:
+    """Exact determinant of a square integer matrix given as sparse rows
+    {column: value}, columns in range(size)."""
+    if len(rows) != size:
+        raise ValueError("matrix is not square")
+    if any(not 0 <= c < size for r in rows for c in r):
+        raise ValueError("column index out of range")
+    pivots, num, den = _eliminate([dict(r) for r in rows])
+    if len(pivots) < size:
+        return 0
+    perm = [0] * size
+    out = num
+    for r, c, p in pivots:
+        perm[r] = c
         out *= p
-    return out
+    return _perm_sign(perm) * out // den
 
 
-def _perm_parity(seq: list[int]) -> int:
-    index = {v: i for i, v in enumerate(sorted(seq))}
-    perm = [index[v] for v in seq]
+def _perm_sign(perm: list[int]) -> int:
+    """Sign of the permutation i -> perm[i] of range(len(perm))."""
     seen = [False] * len(perm)
     sign = 1
     for i in range(len(perm)):
-        if seen[i]:
-            continue
         j = i
-        clen = 0
         while not seen[j]:
             seen[j] = True
             j = perm[j]
-            clen += 1
-        if clen % 2 == 0:
-            sign = -sign
+            if j != i:
+                sign = -sign
     return sign
 
 

@@ -160,3 +160,40 @@ def test_verify_all_with_jobs(capsys):
     payload = json.loads(out)
     assert set(payload["suites"]) == {"relations", "basis", "schur", "dg", "ses"}
     assert all(v["passed"] for v in payload["suites"].values())
+
+
+@pytest.mark.parametrize("argv", [
+    ("cyclotomic", "--n", "2", "--N", "-1"),
+    ("grdim", "--n", "-1"),
+    ("shapovalov", "--n", "-2"),
+    ("homology", "--n", "-1", "--m", "0", "--N", "1"),
+    ("schur", "{}", "[]"),
+    ("schur", "[]", "{}"),
+    ("schur", "[1.5]", "[]"),
+    ("schur", "[true]", "[]"),
+    ("schur", "1", "[]"),
+])
+def test_out_of_range_input_is_a_usage_error(capsys, argv):
+    code, out = run_cli(capsys, *argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+
+
+def test_zero_strands_stay_valid(capsys):
+    code, out = run_cli(capsys, "grdim", "--n", "0", "--qcut", "4")
+    assert code == 0
+    code, out = run_cli(capsys, "cyclotomic", "--n", "0", "--N", "0", "--qcut", "4")
+    assert code == 0
+
+
+def test_jobs_clamp():
+    import os
+    from supernilhecke.cli import _worker_count
+    cpus = os.cpu_count() or 1
+    assert _worker_count(10 ** 6, 5) == min(5, cpus)
+    assert _worker_count(10 ** 6, 1) == 1
+    assert _worker_count(0, 5) == 1
+    assert _worker_count(-3, 5) == 1
+    assert _worker_count(2, 5) == min(2, cpus)

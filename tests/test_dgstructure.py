@@ -196,3 +196,20 @@ def test_oracle_total_dimension():
         assert qcut >= n * (n - 1) + 2 * n * (M - n) + 2
         dims = nilhecke_cyclotomic_oracle(n, M, qcut)
         assert sum(dims.values()) == factorial(n) ** 2 * comb(M, n), (n, M)
+
+
+def test_apply_dN_uses_fresh_images():
+    # the generator images are built once per parameter set and shared; the
+    # result must equal an extension by freshly computed images, every call
+    from supernilhecke.dgstructure import _generator_images, derivation_extend
+    for n, m, N in ((2, -1, 2), (3, 0, 1), (3, -2, 3)):
+        p = DgParams(n, m, N)
+        fresh = {i: generator_image(p, i) for i in range(1, n + 1)}
+        keys = [k for k in basis(n, m, 6) if k[1]][:12]
+        assert keys
+        for key in keys:
+            u = E(n, m, {key: 1})
+            want = derivation_extend(n, m, fresh, u)
+            assert apply_dN(p, u) == want
+            assert apply_dN(DgParams(n, m, N), u) == want
+        assert _generator_images(p) == fresh
