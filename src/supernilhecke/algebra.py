@@ -256,13 +256,7 @@ def act(u: AlgebraElement, f: SuperPolynomial) -> SuperPolynomial:
 
 def theta(n: int, m: int, a: int) -> AlgebraElement:
     """theta_a = T_{a-1}...T_1 w_1 T_1...T_{a-1} in normal form."""
-    if not 1 <= a <= n:
-        raise ValueError(f"theta index {a} out of range 1..{n}")
-    acc = AlgebraElement.w(n, m, 1)
-    for i in range(1, a):
-        t = AlgebraElement.T(n, m, i)
-        acc = t * acc * t
-    return acc
+    return theta_dotted(n, m, a, power=0)
 
 
 def theta_dotted(n: int, m: int, a: int, power: int) -> AlgebraElement:

@@ -193,18 +193,27 @@ def suite_ses(n: int, m: int, qcut: int, seed: int, count: int = 20) -> list[str
     return failures
 
 
+# Suite name -> runner over (n, m, N, qcut, seed).  The serial path and the
+# worker processes both go through _run_suite, which is sent to a worker by
+# its import path, and each runner looks its suite up by name when it runs.
+SUITES = {
+    "relations": lambda n, m, N, qcut, seed: suite_relations(n, m, qcut, seed),
+    "basis": lambda n, m, N, qcut, seed: suite_basis(n, m, qcut, seed),
+    "schur": lambda n, m, N, qcut, seed: suite_schur(n, m, qcut, seed),
+    "dg": lambda n, m, N, qcut, seed: suite_dg(n, m, N, qcut, seed),
+    "ses": lambda n, m, N, qcut, seed: suite_ses(n, m, qcut, seed),
+}
+
+
+def _run_suite(name, n, m, N, qcut, seed):
+    return SUITES[name](n, m, N, qcut, seed)
+
+
 def cmd_verify(args) -> int:
-    n, m, qcut, seed = args.n, args.m, args.qcut, args.seed
-    suites = {
-        "relations": lambda: suite_relations(n, m, qcut, seed),
-        "basis": lambda: suite_basis(n, m, qcut, seed),
-        "schur": lambda: suite_schur(n, m, qcut, seed),
-        "dg": lambda: suite_dg(n, m, args.N, qcut, seed),
-        "ses": lambda: suite_ses(n, m, qcut, seed),
-    }
+    params = (args.n, args.m, args.N, args.qcut, args.seed)
     if args.suite == "all":
-        names = list(suites)
-    elif args.suite in suites:
+        names = list(SUITES)
+    elif args.suite in SUITES:
         names = [args.suite]
     else:
         raise UsageError(f"unknown suite {args.suite!r}")
@@ -213,13 +222,12 @@ def cmd_verify(args) -> int:
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {name: pool.submit(_run_suite_entry, name, n, m, args.N, qcut, seed)
-                       for name in names}
+            futures = {name: pool.submit(_run_suite, name, *params) for name in names}
             for name in names:
                 results[name] = futures[name].result()
     else:
         for name in names:
-            results[name] = suites[name]()
+            results[name] = _run_suite(name, *params)
     failures = [msg for name in names for msg in results[name]]
     payload = {"suites": {name: {"passed": not results[name],
                                  "failures": results[name]} for name in names}}
@@ -236,17 +244,6 @@ def _worker_count(jobs: int, nsuites: int) -> int:
     return max(1, min(jobs, nsuites, os.cpu_count() or 1))
 
 
-def _run_suite_entry(name, n, m, N, qcut, seed):
-    table = {
-        "relations": lambda: suite_relations(n, m, qcut, seed),
-        "basis": lambda: suite_basis(n, m, qcut, seed),
-        "schur": lambda: suite_schur(n, m, qcut, seed),
-        "dg": lambda: suite_dg(n, m, N, qcut, seed),
-        "ses": lambda: suite_ses(n, m, qcut, seed),
-    }
-    return table[name]()
-
-
 def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--n", type=int, default=2, help="number of strands")
@@ -261,22 +258,29 @@ def build_parser() -> argparse.ArgumentParser:
                         help="parallel workers for verify all, at most one "
                              "per suite and per CPU")
 
+    # argparse reads a leading "-" as an option flag.
+    dash_note = ('expressions that start with "-" go after "--", as in: '
+                 'mul --n 2 -- "-3*x1" x2')
+
     parser = argparse.ArgumentParser(
         prog="supernilhecke",
         description="Exact computations in the enlarged nilHecke superalgebra")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("nf", parents=[shared], help="normal form of an expression")
+    p = sub.add_parser("nf", parents=[shared], help="normal form of an expression",
+                       epilog=dash_note)
     p.add_argument("expr")
     p.set_defaults(func=cmd_nf)
 
-    p = sub.add_parser("mul", parents=[shared], help="product of two expressions")
+    p = sub.add_parser("mul", parents=[shared], help="product of two expressions",
+                       epilog=dash_note)
     p.add_argument("left")
     p.add_argument("right")
     p.set_defaults(func=cmd_mul)
 
     p = sub.add_parser("act", parents=[shared],
-                       help="act by an operator on a ring element")
+                       help="act by an operator on a ring element",
+                       epilog=dash_note)
     p.add_argument("expr")
     p.add_argument("ring_expr")
     p.set_defaults(func=cmd_act)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 from . import symgroup
 from .linalg import solve
-from .superring import SuperPolynomial, apply_simple, demazure_perm
+from .superring import SuperPolynomial, apply_simple, demazure_perm, exponent_vectors
 from .symgroup import Perm
 
 
@@ -116,22 +116,6 @@ def _partitions_into(d: int, parts: int):
     yield from gen(d, d, parts)
 
 
-def _x_monomials(n: int, d: int):
-    """Exponent tuples of total degree d."""
-    def gen(remaining, slots):
-        if slots == 1:
-            yield (remaining,)
-            return
-        for first in range(remaining + 1):
-            for rest in gen(remaining - first, slots - 1):
-                yield (first,) + rest
-    if n == 0:
-        if d == 0:
-            yield ()
-        return
-    yield from gen(d, n)
-
-
 def decompose_even_over_schubert(f: SuperPolynomial) -> dict[Perm, SuperPolynomial]:
     """Write a purely even polynomial as sum c_p . schubert(p) with symmetric
     coefficients, solving one integer linear system per x-degree."""
@@ -152,7 +136,7 @@ def decompose_even_over_schubert(f: SuperPolynomial) -> dict[Perm, SuperPolynomi
                 continue
             for sym in _symmetric_monomial_basis(n, m, rem):
                 columns.append((p, sym * schuberts[p], sym))
-        rows = sorted(_x_monomials(n, d))
+        rows = sorted(exponent_vectors(n, d))
         row_index = {e: i for i, e in enumerate(rows)}
         matrix = [[0] * len(columns) for _ in rows]
         for j, (_, prod, _) in enumerate(columns):

@@ -144,7 +144,6 @@ class IntEchelon:
 
     def add(self, row: list[int]) -> bool:
         """Reduce a row against the echelon; returns True if rank grew."""
-        from math import gcd
         row = row[:]
         while True:
             lead = next((j for j, v in enumerate(row) if v != 0), None)

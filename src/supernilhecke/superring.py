@@ -233,42 +233,64 @@ class SuperPolynomial:
 
 # ---- symmetric group action ---------------------------------------------
 
-def apply_simple(i: int, f: SuperPolynomial) -> SuperPolynomial:
-    """Action of s_i: permutes x_i, x_{i+1} and sends w_i to
-    w_i + (x_i - x_{i+1}) w_{i+1}, fixing the other odd generators."""
+@lru_cache(maxsize=None)
+def _twist(d: int, e: int, bits: int):
+    """Images of x_1^d x_2^e w^bits (bits over w_1, w_2) in two strands under
+    the Demazure operator and under s_1, each a tuple of ((d', e'), bits', c).
+
+    These images are the whole action of demazure(i, .) and apply_simple(i, .)
+    on x^a w^S with (a_i, a_{i+1}) = (d, e) and bits i, i+1 of S: the odd
+    block stays in the adjacent slots i, i+1 with the same number of factors,
+    so the Koszul sign against the other odd generators never changes.
+    """
+    # s_1 permutes x_1, x_2 and sends w_1 to w_1 + (x_1 - x_2) w_2; replacing
+    # w_1 by w_2 keeps the increasing order, so no extra sign appears.
+    simple = {((e, d), bits): 1}
+    if bits == 1:
+        simple[(e + 1, d), 2] = 1
+        simple[(e, d + 1), 2] = -1
+    diff = {((d, e), bits): 1}
+    for key, c in simple.items():
+        diff[key] = diff.get(key, 0) - c
+    # Exact division by x_1 - x_2, using x_1^a x_2^b =
+    # (x_1 - x_2) sum_r x_1^{a-1-r} x_2^{b+r} + x_2^{a+b}; the accumulated
+    # remainder must cancel to zero.
+    quo, rem = {}, {}
+    for ((a, b), s), c in diff.items():
+        for r in range(a):
+            key = ((a - 1 - r, b + r), s)
+            quo[key] = quo.get(key, 0) + c
+        key = ((0, a + b), s)
+        rem[key] = rem.get(key, 0) + c
+    if any(rem.values()):
+        raise ArithmeticError(
+            "non-exact division by x_1 - x_2: remainder %r" % rem)
+    return (tuple((k, s, c) for (k, s), c in quo.items() if c),
+            tuple((k, s, c) for (k, s), c in simple.items()))
+
+
+def _apply_twist(i: int, f: SuperPolynomial, image: int) -> SuperPolynomial:
+    """Apply the operator whose two-strand images are _twist(...)[image] at
+    strands i, i+1 of f, term by term."""
     n = f.n
     if not 1 <= i <= n - 1:
         raise ValueError(f"simple index {i} out of range for n={n}")
-    bit_i = 1 << (i - 1)
-    bit_i1 = 1 << i
+    shift = i - 1
+    keep = ~(3 << shift)
     terms: dict[Monomial, int] = {}
-
-    def add(key: Monomial, c: int):
-        v = terms.get(key, 0) + c
-        if v:
-            terms[key] = v
-        else:
-            terms.pop(key, None)
-
     for (xexp, omask), c in f.terms.items():
-        e = list(xexp)
-        e[i - 1], e[i] = e[i], e[i - 1]
-        swapped = tuple(e)
-        if not omask & bit_i:
-            add((swapped, omask), c)
-            continue
-        # w_i -> w_i + (x_i - x_{i+1}) w_{i+1}; replacing w_i by w_{i+1}
-        # keeps the increasing order, so no extra sign appears.
-        add((swapped, omask), c)
-        if not omask & bit_i1:
-            nm = (omask & ~bit_i) | bit_i1
-            up = list(swapped)
-            up[i - 1] += 1
-            add((tuple(up), nm), c)
-            dn = list(swapped)
-            dn[i] += 1
-            add((tuple(dn), nm), -c)
+        head, tail = xexp[:shift], xexp[i + 1:]
+        rest = omask & keep
+        for de, bits, k in _twist(xexp[shift], xexp[i], (omask >> shift) & 3)[image]:
+            key = (head + de + tail, rest | (bits << shift))
+            terms[key] = terms.get(key, 0) + k * c
     return SuperPolynomial(n, f.m, terms)
+
+
+def apply_simple(i: int, f: SuperPolynomial) -> SuperPolynomial:
+    """Action of s_i: permutes x_i, x_{i+1} and sends w_i to
+    w_i + (x_i - x_{i+1}) w_{i+1}, fixing the other odd generators."""
+    return _apply_twist(i, f, 1)
 
 
 def apply_perm(p: Perm, f: SuperPolynomial) -> SuperPolynomial:
@@ -277,43 +299,9 @@ def apply_perm(p: Perm, f: SuperPolynomial) -> SuperPolynomial:
     return f
 
 
-def _divide_by_x_difference(g: SuperPolynomial, i: int) -> SuperPolynomial:
-    """Exact division by (x_i - x_{i+1}); raises if the remainder is nonzero.
-
-    Uses x_i^d x_{i+1}^e = (x_i - x_{i+1}) * sum_r x_i^{d-1-r} x_{i+1}^{e+r}
-    + x_{i+1}^{d+e}; the accumulated remainder must cancel to zero.
-    """
-    n = g.n
-    quo: dict[Monomial, int] = {}
-    rem: dict[Monomial, int] = {}
-
-    def add(target, key, c):
-        v = target.get(key, 0) + c
-        if v:
-            target[key] = v
-        else:
-            target.pop(key, None)
-
-    for (xexp, omask), c in g.terms.items():
-        d, e = xexp[i - 1], xexp[i]
-        for r in range(d):
-            ne = list(xexp)
-            ne[i - 1] = d - 1 - r
-            ne[i] = e + r
-            add(quo, (tuple(ne), omask), c)
-        ne = list(xexp)
-        ne[i - 1] = 0
-        ne[i] = d + e
-        add(rem, (tuple(ne), omask), c)
-    if rem:
-        raise ArithmeticError(
-            "non-exact division by x_%d - x_%d: remainder %r" % (i, i + 1, rem))
-    return SuperPolynomial(n, g.m, quo)
-
-
 def demazure(i: int, f: SuperPolynomial) -> SuperPolynomial:
     """Demazure operator (f - s_i f) / (x_i - x_{i+1})."""
-    return _divide_by_x_difference(f - apply_simple(i, f), i)
+    return _apply_twist(i, f, 0)
 
 
 def demazure_word(letters: Word, f: SuperPolynomial) -> SuperPolynomial:

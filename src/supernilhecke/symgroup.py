@@ -7,8 +7,8 @@ is the one applied first, so a word `(i_1, ..., i_r)` denotes the product
 s_{i_r} ... s_{i_1} under the composition convention (st)(k) = s(t(k)).
 
 >>> evaluate_word(3, (1, 2))       # s_2 s_1
-(2, 3, 1)
->>> length((2, 3, 1))
+(3, 1, 2)
+>>> length((3, 1, 2))
 2
 """
 from __future__ import annotations
@@ -49,6 +49,7 @@ def inverse(p: Perm) -> Perm:
     return tuple(inv)
 
 
+@lru_cache(maxsize=None)
 def length(p: Perm) -> int:
     """Number of inversions of p.
 
@@ -94,6 +95,7 @@ def is_reduced(n: int, letters: Word) -> bool:
     return length(evaluate_word(n, letters)) == len(letters)
 
 
+@lru_cache(maxsize=None)
 def reduced_word(p: Perm) -> Word:
     """Some reduced word for p (greedy descent removal), bottom-to-top."""
     q = list(p)

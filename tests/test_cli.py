@@ -36,6 +36,20 @@ def test_mul_and_act(capsys):
     assert json.loads(out)["terms"] == [{"coeff": 1, "x": [0, 0], "w": []}]
 
 
+def test_leading_minus_expression_after_double_dash(capsys):
+    code, out = run_cli(capsys, "mul", "--n", "2", "--", "-3*x1", "x2")
+    assert code == 0
+    assert json.loads(out)["terms"] == [
+        {"coeff": -3, "x": [1, 1], "w": [], "perm": [1, 2]}]
+    # Without "--" argparse takes the expression for an option; the help says so.
+    code, out = run_cli(capsys, "mul", "--n", "2", "-3*x1", "x2")
+    assert code == 2
+    for command in ("nf", "mul", "act"):
+        code, out = run_cli(capsys, command, "--help")
+        assert code == 0
+        assert 'start with "-" go after "--"' in " ".join(out.split())
+
+
 def test_labeled_generator_at_minimal_label(capsys):
     code, out = run_cli(capsys, "nf", "w1^0", "--n", "2", "--m", "-1")
     assert code == 0

@@ -236,3 +236,114 @@ def test_omega_top_decomposition_example():
     pairs = omega_top_decomposition(n, m, 1)
     assert [(a, repr(c)) for a, c in pairs] == [(1, "1"), (0, "x2")]
     assert omega_top_decomposition(n, m, 2) == [(0, SuperPolynomial.one(n, m))]
+
+
+# ---- the two-strand twist table against the whole-polynomial loops -----------
+
+def reference_apply_simple(i, f):
+    """s_i term by term on the whole polynomial, as before the twist table:
+    the reference the cached table is checked against."""
+    n = f.n
+    bit_i, bit_i1 = 1 << (i - 1), 1 << i
+    terms = {}
+
+    def add(key, c):
+        terms[key] = terms.get(key, 0) + c
+
+    for (xexp, omask), c in f.terms.items():
+        e = list(xexp)
+        e[i - 1], e[i] = e[i], e[i - 1]
+        swapped = tuple(e)
+        add((swapped, omask), c)
+        if omask & bit_i and not omask & bit_i1:
+            nm = (omask & ~bit_i) | bit_i1
+            up = list(swapped)
+            up[i - 1] += 1
+            add((tuple(up), nm), c)
+            dn = list(swapped)
+            dn[i] += 1
+            add((tuple(dn), nm), -c)
+    return SuperPolynomial(n, f.m, terms)
+
+
+def reference_demazure(i, f):
+    """(f - s_i f) / (x_i - x_{i+1}) by exact division of the whole
+    polynomial, with the remainder checked."""
+    g = f - reference_apply_simple(i, f)
+    quo, rem = {}, {}
+    for (xexp, omask), c in g.terms.items():
+        d, e = xexp[i - 1], xexp[i]
+        for r in range(d):
+            ne = list(xexp)
+            ne[i - 1], ne[i] = d - 1 - r, e + r
+            quo[(tuple(ne), omask)] = quo.get((tuple(ne), omask), 0) + c
+        ne = list(xexp)
+        ne[i - 1], ne[i] = 0, d + e
+        rem[(tuple(ne), omask)] = rem.get((tuple(ne), omask), 0) + c
+    assert not any(rem.values()), rem
+    return SuperPolynomial(f.n, f.m, quo)
+
+
+def check_against_reference(f):
+    for i in range(1, f.n):
+        assert apply_simple(i, f) == reference_apply_simple(i, f)
+        assert demazure(i, f) == reference_demazure(i, f)
+
+
+def check_twisted_relations(f, g):
+    n = f.n
+    for i in range(1, n):
+        d = lambda h: demazure(i, h)
+        assert d(f * g) == d(f) * g + apply_simple(i, f) * d(g)
+        assert d(d(f)).is_zero()
+    for i in range(1, n - 1):
+        assert demazure_word((i, i + 1, i), f) == demazure_word((i + 1, i, i + 1), f)
+    for i in range(1, n):
+        for j in range(i + 2, n):
+            assert demazure_word((i, j), f) == demazure_word((j, i), f)
+
+
+def test_twist_table_matches_reference():
+    rng = random.Random(11)
+    for n in range(2, 6):
+        m = rng.choice((-2, -1, 0))
+        for omask in range(1 << n):
+            for _ in range(3):
+                xexp = tuple(rng.randrange(13) for _ in range(n))
+                check_against_reference(SuperPolynomial.monomial(n, m, xexp, omask))
+        for _ in range(30):
+            f = random_poly(n, m, rng, nterms=6, maxexp=12)
+            g = random_poly(n, m, rng, nterms=3, maxexp=4)
+            check_against_reference(f)
+            check_against_reference(f * g)
+            check_twisted_relations(f, g)
+    with pytest.raises(ValueError):
+        demazure(3, random_poly(3, -1, rng))
+    with pytest.raises(ValueError):
+        apply_simple(0, random_poly(3, -1, rng))
+
+
+def test_twist_table_matches_reference_hypothesis():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    @st.composite
+    def superpolys(draw, n, nterms, maxexp):
+        monomials = st.tuples(
+            st.tuples(*[st.integers(0, maxexp)] * n), st.integers(0, (1 << n) - 1))
+        terms = draw(st.dictionaries(monomials, st.integers(-4, 4), max_size=nterms))
+        return SuperPolynomial(n, -1, terms)
+
+    @st.composite
+    def pairs(draw):
+        n = draw(st.integers(2, 5))
+        return draw(superpolys(n, 5, 12)), draw(superpolys(n, 3, 3))
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(pairs())
+    def check(pair):
+        f, g = pair
+        check_against_reference(f)
+        check_twisted_relations(f, g)
+
+    check()
