@@ -14,29 +14,21 @@ import itertools
 
 from . import symgroup
 from .superring import (
-    SuperPolynomial, Monomial, apply_simple, demazure, demazure_word,
-    exponent_vectors, labeled_omega, mask_to_indices,
+    LinearCombination, SuperPolynomial, Monomial, apply_simple, demazure,
+    demazure_word, exponent_vectors, labeled_omega, mask_to_indices,
+    monomials_at, odd_degree,
 )
 from .symgroup import Perm, Word
 
 TermKey = tuple[tuple[int, ...], int, Perm]  # (xexp, omask, perm)
 
 
-class AlgebraElement:
+class AlgebraElement(LinearCombination):
     """An element in the canonical basis x^k w^S T_p."""
 
-    __slots__ = ("n", "m", "terms")
-
-    def __init__(self, n: int, m: int, terms: dict[TermKey, int] | None = None):
-        self.n = n
-        self.m = m
-        self.terms = {k: c for k, c in (terms or {}).items() if c != 0}
+    __slots__ = ()
 
     # ---- constructors -------------------------------------------------
-    @classmethod
-    def zero(cls, n: int, m: int) -> "AlgebraElement":
-        return cls(n, m)
-
     @classmethod
     def one(cls, n: int, m: int) -> "AlgebraElement":
         return cls.const(n, m, 1)
@@ -85,44 +77,6 @@ class AlgebraElement:
     def monomial(cls, n: int, m: int, xexp, omask: int, perm: Perm, coeff: int = 1) -> "AlgebraElement":
         return cls(n, m, {(tuple(xexp), omask, tuple(perm)): coeff})
 
-    # ---- additive structure ---------------------------------------------
-    def _check(self, other: "AlgebraElement"):
-        if self.n != other.n or self.m != other.m:
-            raise ValueError(
-                f"algebra mismatch: ({self.n},{self.m}) vs ({other.n},{other.m})")
-
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        self._check(other)
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            v = terms.get(k, 0) + c
-            if v:
-                terms[k] = v
-            else:
-                terms.pop(k, None)
-        return AlgebraElement(self.n, self.m, terms)
-
-    def __neg__(self) -> "AlgebraElement":
-        return AlgebraElement(self.n, self.m, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return self + (-other)
-
-    def scale(self, c: int) -> "AlgebraElement":
-        if c == 0:
-            return AlgebraElement(self.n, self.m)
-        return AlgebraElement(self.n, self.m, {k: c * v for k, v in self.terms.items()})
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, AlgebraElement) and self.n == other.n
-                and self.m == other.m and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.n, self.m, frozenset(self.terms.items())))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
     # ---- multiplication --------------------------------------------------
     def _group_by_perm(self) -> dict[Perm, SuperPolynomial]:
         groups: dict[Perm, dict[Monomial, int]] = {}
@@ -144,6 +98,8 @@ class AlgebraElement:
                     prod_perm = symgroup.compose(rho, sigma)
                     if symgroup.length(prod_perm) != symgroup.length(rho) + lsigma:
                         continue
+                    # Inline rather than accumulate(): a generator per product
+                    # took about 8% more CPU time on the cyclotomic workload.
                     for key, c in (f * h).terms.items():
                         tk = (key[0], key[1], prod_perm)
                         v = out.get(tk, 0) + c
@@ -153,53 +109,19 @@ class AlgebraElement:
                             out.pop(tk, None)
         return AlgebraElement(n, m, out)
 
-    # ---- grading -----------------------------------------------------------
+    # ---- grading and display ------------------------------------------------
     def monomial_bidegree(self, key: TermKey) -> tuple[int, int]:
-        xexp, omask, perm = key
-        q = 2 * sum(xexp) + sum(2 * (self.m + 1 - i) for i in mask_to_indices(omask))
-        return q - 2 * symgroup.length(perm), 2 * omask.bit_count()
+        q, lam = super().monomial_bidegree(key)
+        return q - 2 * symgroup.length(key[2]), lam
 
-    def bidegree(self) -> tuple[int, int] | None:
-        degs = {self.monomial_bidegree(k) for k in self.terms}
-        if len(degs) == 1:
-            return degs.pop()
-        return None
-
-    def bidegree_components(self) -> dict[tuple[int, int], "AlgebraElement"]:
-        comps: dict[tuple[int, int], dict[TermKey, int]] = {}
-        for k, c in self.terms.items():
-            comps.setdefault(self.monomial_bidegree(k), {})[k] = c
-        return {d: AlgebraElement(self.n, self.m, t) for d, t in comps.items()}
-
-    # ---- display / serialization ----------------------------------------
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: (kv[0][2], kv[0][0], kv[0][1]))
 
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for (xexp, omask, perm), c in self.sorted_terms():
-            factors = []
-            for i, e in enumerate(xexp, start=1):
-                if e == 1:
-                    factors.append(f"x{i}")
-                elif e > 1:
-                    factors.append(f"x{i}^{e}")
-            factors.extend(f"w{i}" for i in mask_to_indices(omask))
-            if symgroup.length(perm):
-                factors.extend(f"T{i}" for i in reversed(symgroup.reduced_word(perm)))
-            body = "*".join(factors) if factors else "1"
-            if c == 1:
-                parts.append(body)
-            elif c == -1:
-                parts.append(f"-{body}")
-            else:
-                parts.append(f"{c}*{body}")
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+    def _factors(self, key: TermKey) -> list[str]:
+        factors = super()._factors(key)
+        if symgroup.length(key[2]):
+            factors.extend(f"T{i}" for i in reversed(symgroup.reduced_word(key[2])))
+        return factors
 
     def to_json_terms(self) -> list[dict]:
         return [
@@ -323,8 +245,7 @@ def basis(n: int, m: int, qcut: int):
     for perm in symgroup.all_permutations(n):
         ldeg = 2 * symgroup.length(perm)
         for omask in range(1 << n):
-            odeg = sum(2 * (m + 1 - i) for i in mask_to_indices(omask))
-            budget = qcut - odeg + ldeg
+            budget = qcut - odd_degree(m, omask) + ldeg
             if budget < 0:
                 continue
             for xexp in _xexp_iter(n, budget // 2):
@@ -345,10 +266,9 @@ def basis_counts(n: int, m: int, qcut: int) -> dict[tuple[int, int, int], int]:
     perms_by_len = symgroup.perms_by_length(n)
     for plen, nperms in perms_by_len.items():
         for omask in range(1 << n):
-            odeg = sum(2 * (m + 1 - i) for i in mask_to_indices(omask))
             lam = 2 * omask.bit_count()
             par = omask.bit_count() & 1
-            base = odeg - 2 * plen
+            base = odd_degree(m, omask) - 2 * plen
             s = 0
             while base + 2 * s <= qcut:
                 key = (base + 2 * s, lam, par)
@@ -478,7 +398,7 @@ def verify_relations(n: int, m: int, max_extra_label: int = 3) -> list[str]:
 
 def _min_qdeg(n: int, m: int) -> int:
     """Least q-degree of a basis monomial."""
-    lead = sum(min(0, 2 * (m + 1 - i)) for i in range(1, n + 1))
+    lead = sum(min(0, odd_degree(m, 1 << i)) for i in range(n))
     return lead - n * (n - 1)
 
 
@@ -534,21 +454,9 @@ def spanning_rank_table(n: int, m: int, middle: AlgebraElement, qcut: int,
 
 
 def basis_at_bidegree(n: int, m: int, q: int, lam: int) -> list[TermKey]:
-    """Basis monomials at an exact bidegree."""
-    if lam % 2 or lam < 0 or lam > 2 * n:
-        return []
-    out = []
-    for omask in range(1 << n):
-        if 2 * omask.bit_count() != lam:
-            continue
-        odeg = sum(2 * (m + 1 - i) for i in mask_to_indices(omask))
-        for perm in symgroup.all_permutations(n):
-            rem = q - odeg + 2 * symgroup.length(perm)
-            if rem < 0 or rem % 2:
-                continue
-            for xexp in exponent_vectors(n, rem // 2):
-                out.append((xexp, omask, perm))
-    return out
+    """Basis monomials at an exact bidegree, grouped by permutation."""
+    return [(xexp, omask, perm) for perm in symgroup.all_permutations(n)
+            for xexp, omask in monomials_at(n, m, q + 2 * symgroup.length(perm), lam)]
 
 
 def cyclotomic_grdim(n: int, N: int, qcut: int) -> dict[tuple[int, int, int], int]:

@@ -3,7 +3,8 @@ Command-line front end.
 
 Commands: nf, mul, act, schur, grdim, ses-check, shapovalov, homology,
 cyclotomic, verify.  Exit codes: 0 success, 1 verification failure, 2 usage
-error.  --format json prints machine-readable output (deterministic for a
+error, 3 internal error (an unexpected exception, reported on stderr without a
+traceback).  --format json prints machine-readable output (deterministic for a
 fixed --seed); text mode prints human-readable monomials.
 """
 from __future__ import annotations
@@ -335,6 +336,9 @@ def main(argv=None) -> int:
     except (ParseError, UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

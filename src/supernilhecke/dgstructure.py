@@ -16,7 +16,10 @@ from functools import lru_cache
 from . import symgroup
 from .algebra import AlgebraElement, basis, TermKey
 from .linalg import rank
-from .superring import SuperPolynomial, complete_h, exponent_vectors, mask_to_indices
+from .superring import (
+    SuperPolynomial, accumulate, complete_h, mask_to_indices, monomials_at,
+    odd_degree,
+)
 from .symgroup import perms_by_length
 
 
@@ -53,24 +56,18 @@ def derivation_extend(n: int, m: int, images: dict[int, SuperPolynomial],
     """Extend a map on the odd generators (even, central images) to an odd
     derivation killing x's and T's: on x^k w_{i_1}..w_{i_h} T_p the j-th odd
     factor contributes a sign (-1)^{j-1}."""
-    out = AlgebraElement.zero(n, m)
-    for (xexp, omask, perm), c in u.terms.items():
-        indices = mask_to_indices(omask)
-        for j, i in enumerate(indices):
-            img = images[i]
-            if img.is_zero():
-                continue
-            sign = -1 if j & 1 else 1
-            rest_mask = omask & ~(1 << (i - 1))
-            mono = SuperPolynomial.monomial(n, m, xexp, rest_mask, sign * c)
-            for (xe, om), cc in (mono * img).terms.items():
-                key = (xe, om, perm)
-                v = out.terms.get(key, 0) + cc
-                if v:
-                    out.terms[key] = v
-                else:
-                    out.terms.pop(key, None)
-    return AlgebraElement(n, m, out.terms)
+    def pieces():
+        for (xexp, omask, perm), c in u.terms.items():
+            for j, i in enumerate(mask_to_indices(omask)):
+                img = images[i]
+                if img.is_zero():
+                    continue
+                sign = -1 if j & 1 else 1
+                rest_mask = omask & ~(1 << (i - 1))
+                mono = SuperPolynomial.monomial(n, m, xexp, rest_mask, sign * c)
+                for (xe, om), cc in (mono * img).terms.items():
+                    yield (xe, om, perm), cc
+    return AlgebraElement(n, m, accumulate({}, pieces()))
 
 
 def apply_dN(p: DgParams, u: AlgebraElement) -> AlgebraElement:
@@ -135,22 +132,6 @@ def verify_d_squared(p: DgParams, qcut: int, samples: int = 50, seed: int = 0,
 # q-shift of -2 l(p) per permutation.  Homology is computed exactly on the
 # polynomial side and aggregated over permutation lengths.
 
-def _poly_monomials_at(n: int, m: int, q: int, h: int):
-    """Monomials of the coefficient ring with lambda-degree 2h, q-degree q."""
-    import itertools
-    out = []
-    for subset in itertools.combinations(range(1, n + 1), h):
-        omask = 0
-        for i in subset:
-            omask |= 1 << (i - 1)
-        rem = q - sum(2 * (m + 1 - i) for i in subset)
-        if rem < 0 or rem % 2:
-            continue
-        for xexp in exponent_vectors(n, rem // 2):
-            out.append((xexp, omask))
-    return out
-
-
 def _poly_d_matrix(p: DgParams, domain, codomain_index):
     """Matrix of d_N from the given monomials to the indexed target monomials."""
     images = _generator_images(p)
@@ -169,7 +150,7 @@ def poly_homology_at(p: DgParams, q: int, h: int,
                      rank_cache: dict | None = None) -> int:
     """Rational homology dimension of the polynomial-side complex at
     q-degree q, homological degree h."""
-    here = _poly_monomials_at(p.n, p.m, q, h)
+    here = monomials_at(p.n, p.m, q, 2 * h)
     if not here:
         return 0
     return len(here) - _rank_d(p, q, h, rank_cache) \
@@ -182,8 +163,8 @@ def _rank_d(p: DgParams, q: int, h: int, rank_cache: dict | None) -> int:
         return 0
     if rank_cache is not None and (q, h) in rank_cache:
         return rank_cache[(q, h)]
-    here = _poly_monomials_at(p.n, p.m, q, h)
-    below = _poly_monomials_at(p.n, p.m, q + 2 * p.N, h - 1)
+    here = monomials_at(p.n, p.m, q, 2 * h)
+    below = monomials_at(p.n, p.m, q + 2 * p.N, 2 * (h - 1))
     r = 0
     if here and below:
         index = {mono: i for i, mono in enumerate(below)}
@@ -217,7 +198,7 @@ def homology_ranks(p: DgParams, qcut: int) -> dict[tuple[int, int], int]:
 
 def _min_poly_q(n: int, m: int, h: int) -> int:
     """Least q-degree of a polynomial-side monomial with h odd factors."""
-    degs = sorted(2 * (m + 1 - i) for i in range(1, n + 1))
+    degs = sorted(odd_degree(m, 1 << i) for i in range(n))
     return sum(degs[:h]) if h else 0
 
 

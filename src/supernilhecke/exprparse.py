@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import AlgebraElement
-from .superring import SuperPolynomial, labeled_omega
+from .superring import SuperPolynomial, accumulate, labeled_omega
 
 
 class ParseError(ValueError):
@@ -62,12 +62,18 @@ def _lex(text: str) -> list[Token]:
 
 
 # AST nodes: ('int', v) | ('gen', kind, index, exponent-or-label-or-None)
-#            ('neg', node) | ('add', l, r) | ('sub', l, r) | ('mul', l, r)
+#            ('neg', node) | ('sum', ((sign, node), ...)) | ('prod', (node, ...))
+# Sums and products are n-ary and a run of unary minus signs folds into one
+# 'neg', so only parentheses nest, and at most MAX_NESTING deep.
+
+MAX_NESTING = 100
+
 
 class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -77,55 +83,57 @@ class _Parser:
         self.pos += 1
         return tok
 
+    def at_op(self, *ops: str) -> bool:
+        tok = self.peek()
+        return tok.kind == "op" and tok.text in ops
+
     def expect_op(self, text: str):
         tok = self.next()
         if tok.kind != "op" or tok.text != text:
             raise ParseError(f"expected {text!r}", tok.offset)
 
     def parse_expr(self):
-        node = self.parse_term()
-        while True:
-            tok = self.peek()
-            if tok.kind == "op" and tok.text in ("+", "-"):
-                self.next()
-                rhs = self.parse_term()
-                node = ("add" if tok.text == "+" else "sub", node, rhs)
-            else:
-                return node
+        terms = [(1, self.parse_term())]
+        while self.at_op("+", "-"):
+            sign = 1 if self.next().text == "+" else -1
+            terms.append((sign, self.parse_term()))
+        return terms[0][1] if len(terms) == 1 else ("sum", tuple(terms))
 
     def parse_term(self):
-        node = self.parse_factor()
-        while True:
-            tok = self.peek()
-            if tok.kind == "op" and tok.text == "*":
-                self.next()
-                node = ("mul", node, self.parse_factor())
-            else:
-                return node
+        factors = [self.parse_factor()]
+        while self.at_op("*"):
+            self.next()
+            factors.append(self.parse_factor())
+        return factors[0] if len(factors) == 1 else ("prod", tuple(factors))
 
     def parse_factor(self):
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "-":
+        negate = False
+        while self.at_op("-"):
             self.next()
-            return ("neg", self.parse_factor())
-        return self.parse_atom()
+            negate = not negate
+        node = self.parse_atom()
+        return ("neg", node) if negate else node
 
     def parse_atom(self):
         tok = self.next()
         if tok.kind == "int":
             return ("int", tok.value)
         if tok.kind == "op" and tok.text == "(":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ParseError(
+                    f"parentheses nested deeper than {MAX_NESTING}", tok.offset)
             node = self.parse_expr()
             self.expect_op(")")
+            self.depth -= 1
             return node
         if tok.kind == "gen":
             kind, index = tok.gen
             exp = None
-            nxt = self.peek()
-            if nxt.kind == "op" and nxt.text == "^":
+            if self.at_op("^"):
                 if kind == "T":
                     raise ParseError("'^' applies to x-generators and w-labels only",
-                                     nxt.offset)
+                                     self.peek().offset)
                 self.next()
                 sign = 1
                 etok = self.next()
@@ -151,47 +159,29 @@ def parse(text: str):
     return node
 
 
-def evaluate_algebra(node, n: int, m: int) -> AlgebraElement:
-    E = AlgebraElement
+def _evaluate(node, n: int, m: int, leaf):
+    """Elaborate sums, products and negations with loops; leaf(node, n, m)
+    builds the element of an 'int' or 'gen' node."""
     kind = node[0]
-    if kind == "int":
-        return E.const(n, m, node[1])
     if kind == "neg":
-        return -evaluate_algebra(node[1], n, m)
-    if kind in ("add", "sub", "mul"):
-        lhs = evaluate_algebra(node[1], n, m)
-        rhs = evaluate_algebra(node[2], n, m)
-        return {"add": lhs.__add__, "sub": lhs.__sub__, "mul": lhs.__mul__}[kind](rhs)
-    gen, index, exp = node[1], node[2], node[3]
-    if gen == "x":
-        if not 1 <= index <= n:
-            raise ParseError(f"x{index} out of range for n={n}", 0)
-        return E.x(n, m, index, 1 if exp is None else exp)
-    if gen == "w":
-        if not 1 <= index <= n:
-            raise ParseError(f"w{index} out of range for n={n}", 0)
-        if exp is None:
-            return E.w(n, m, index)
-        if exp < m + 1:
-            raise ParseError(f"label {exp} below the minimal label {m + 1}", 0)
-        return E.w_labeled(n, m, index, exp)
-    if gen == "T":
-        if not 1 <= index <= n - 1:
-            raise ParseError(f"T{index} out of range for n={n}", 0)
-        return E.T(n, m, index)
-    raise ParseError(f"unknown generator {gen!r}", 0)
+        return -_evaluate(node[1], n, m, leaf)
+    if kind == "prod":
+        acc = _evaluate(node[1][0], n, m, leaf)
+        for sub in node[1][1:]:
+            acc = acc * _evaluate(sub, n, m, leaf)
+        return acc
+    if kind == "sum":
+        terms: dict = {}
+        for sign, sub in node[1]:
+            part = _evaluate(sub, n, m, leaf)
+            accumulate(terms, ((k, sign * c) for k, c in part.terms.items()))
+        return type(part)(n, m, terms)
+    return leaf(node, n, m)
 
 
-def evaluate_ring(node, n: int, m: int) -> SuperPolynomial:
-    kind = node[0]
-    if kind == "int":
+def _ring_leaf(node, n: int, m: int) -> SuperPolynomial:
+    if node[0] == "int":
         return SuperPolynomial.const(n, m, node[1])
-    if kind == "neg":
-        return -evaluate_ring(node[1], n, m)
-    if kind in ("add", "sub", "mul"):
-        lhs = evaluate_ring(node[1], n, m)
-        rhs = evaluate_ring(node[2], n, m)
-        return {"add": lhs.__add__, "sub": lhs.__sub__, "mul": lhs.__mul__}[kind](rhs)
     gen, index, exp = node[1], node[2], node[3]
     if gen == "T":
         raise ParseError("crossings are not ring elements", 0)
@@ -204,3 +194,19 @@ def evaluate_ring(node, n: int, m: int) -> SuperPolynomial:
     if exp < m + 1:
         raise ParseError(f"label {exp} below the minimal label {m + 1}", 0)
     return labeled_omega(n, m, index, exp)
+
+
+def _algebra_leaf(node, n: int, m: int) -> AlgebraElement:
+    if node[0] == "gen" and node[1] == "T":
+        if not 1 <= node[2] <= n - 1:
+            raise ParseError(f"T{node[2]} out of range for n={n}", 0)
+        return AlgebraElement.T(n, m, node[2])
+    return AlgebraElement.from_poly(_ring_leaf(node, n, m))
+
+
+def evaluate_algebra(node, n: int, m: int) -> AlgebraElement:
+    return _evaluate(node, n, m, _algebra_leaf)
+
+
+def evaluate_ring(node, n: int, m: int) -> SuperPolynomial:
+    return _evaluate(node, n, m, _ring_leaf)

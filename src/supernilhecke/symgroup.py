@@ -165,19 +165,8 @@ def left_adjusted_word(p: Perm) -> Word:
     n = len(p)
     if n <= 1:
         return ()
-    a = p.index(n) + 1  # p(a) = n
-    # p = p' . (s_{n-1} ... s_a) with p' fixing n; the cycle part sends
-    # a -> n and k -> k-1 for a < k <= n.
-    coset = tuple(range(a, n))
-    cycle_inv = list(range(1, n + 1))
-    for k in range(1, n + 1):
-        if k == n:
-            cycle_inv[k - 1] = a
-        elif k >= a:
-            cycle_inv[k - 1] = k + 1
-    pprime = tuple(p[cycle_inv[k] - 1] for k in range(n))
-    assert pprime[n - 1] == n
-    return coset + left_adjusted_word(pprime[: n - 1])
+    pprime, a = coset_split(p)
+    return coset_word(n, a) + left_adjusted_word(pprime)
 
 
 def is_left_adjusted(n: int, letters: Word) -> bool:
@@ -206,7 +195,6 @@ def partition_word(n: int, letters: Word):
     if not is_left_adjusted(n, letters):
         raise ValueError("word is not left-adjusted")
     r = len(letters)
-    minima = prefix_minima(n, letters)
     # first prefix index achieving the minimum, per strand
     t = [0] * n
     track = list(range(1, n + 1))
@@ -223,7 +211,7 @@ def partition_word(n: int, letters: Word):
     s = tuple(sorted(range(1, n + 1), key=lambda k: (t[k - 1], k)))
     cuts = [0] + [t[s[k] - 1] for k in range(n)] + [r]
     factors = [letters[cuts[j]:cuts[j + 1]] for j in range(n + 1)]
-    return s, factors, minima
+    return s, factors, tuple(best)
 
 
 def coset_split(p: Perm) -> tuple[Perm, int]:
@@ -241,6 +229,7 @@ def coset_split(p: Perm) -> tuple[Perm, int]:
         elif k >= a:
             cycle_inv[k - 1] = k + 1
     pprime = tuple(p[cycle_inv[k] - 1] for k in range(n))
+    assert pprime[n - 1] == n
     return pprime[: n - 1], a
 
 

@@ -5,13 +5,23 @@ import pytest
 
 from supernilhecke.algebra import AlgebraElement, random_element
 from supernilhecke.cli import main
-from supernilhecke.exprparse import ParseError, evaluate_algebra, parse
+from supernilhecke.exprparse import (
+    MAX_NESTING, ParseError, evaluate_algebra, evaluate_ring, parse,
+)
+from supernilhecke.superring import SuperPolynomial, labeled_omega
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def run_cli_err(capsys, *argv):
+    """Like run_cli, also returning what went to stderr."""
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
 
 
 def test_nf_nilpotent(capsys):
@@ -131,6 +141,19 @@ def test_parse_print_round_trip():
             printed = repr(elt)
             again = evaluate_algebra(parse(printed), n, m)
             assert again == elt, printed
+    # ring elements, through evaluate_ring
+    for n, m in ((1, 0), (2, -1), (3, 0), (4, -2)):
+        for _ in range(10):
+            terms = {}
+            for _ in range(rng.randrange(1, 7)):
+                key = (tuple(rng.randrange(4) for _ in range(n)), rng.randrange(1 << n))
+                terms[key] = rng.randrange(-3, 4)
+            f = SuperPolynomial(n, m, terms)
+            printed = repr(f)
+            assert evaluate_ring(parse(printed), n, m) == f, printed
+    # an element with thousands of terms still parses back
+    big = labeled_omega(2, -1, 2, 3000)
+    assert evaluate_ring(parse(repr(big)), 2, -1) == big
 
 
 def test_parser_precedence_and_unary():
@@ -188,8 +211,7 @@ def test_verify_all_with_jobs(capsys):
     ("schur", "1", "[]"),
 ])
 def test_out_of_range_input_is_a_usage_error(capsys, argv):
-    code, out = run_cli(capsys, *argv)
-    err = capsys.readouterr().err
+    code, out, err = run_cli_err(capsys, *argv)
     assert code == 2
     assert out == ""
     assert "Traceback" not in err
@@ -211,3 +233,53 @@ def test_jobs_clamp():
     assert _worker_count(0, 5) == 1
     assert _worker_count(-3, 5) == 1
     assert _worker_count(2, 5) == min(2, cpus)
+
+
+@pytest.mark.parametrize("argv,want", [
+    (("nf", "--n", "2", "w1^3000"), 0),
+    (("act", "--n", "2", "1", "w2^5000"), 0),
+    (("nf", "--n", "2", "(" * 2000 + "x1" + ")" * 2000), 2),
+    (("nf", "--n", "2", "--", "*".join(["x1"] * 3001)), 0),
+])
+def test_deep_inputs_do_not_crash(capsys, argv, want):
+    code, out, err = run_cli_err(capsys, *argv)
+    assert code == want
+    assert "Traceback" not in err and "RecursionError" not in err
+    if want == 0:
+        assert json.loads(out)["terms"]
+    else:
+        assert "nested deeper" in err
+
+
+def test_nesting_limit_and_unary_minus_runs():
+    n, m = 2, -1
+    x1 = evaluate_algebra(parse("x1"), n, m)
+    deep = "(" * MAX_NESTING + "x1" + ")" * MAX_NESTING
+    assert evaluate_algebra(parse(deep), n, m) == x1
+    with pytest.raises(ParseError):
+        parse("(" + deep + ")")
+    assert evaluate_algebra(parse("-" * 3001 + "x1"), n, m) == -x1
+    assert evaluate_algebra(parse("-" * 3000 + "x1"), n, m) == x1
+    assert evaluate_algebra(parse("x1 - x1 + x2 - (x2 - x1)"), n, m) == x1
+    assert evaluate_ring(parse("x1^3000"), n, m) == \
+        evaluate_ring(parse("*".join(["x1"] * 3000)), n, m)
+
+
+def test_internal_error_exit_code(capsys, monkeypatch):
+    import supernilhecke.cli as cli
+
+    def broken(*args):
+        raise ArithmeticError("synthetic internal fault")
+
+    monkeypatch.setattr(cli, "cmd_grdim", broken)
+    monkeypatch.setitem(cli.__dict__, "suite_relations", broken)
+    for argv in (("grdim", "--n", "2"), ("verify", "relations", "--n", "2")):
+        code, out, err = run_cli_err(capsys, *argv)
+        assert code == 3, argv
+        assert out == ""
+        assert err.startswith("internal error:") and "synthetic internal fault" in err
+        assert "Traceback" not in err
+    # exit 1 is only a failed suite
+    monkeypatch.setitem(cli.__dict__, "suite_relations",
+                        lambda n, m, qcut, seed: ["synthetic failure"])
+    assert run_cli(capsys, "verify", "relations", "--n", "2")[0] == 1

@@ -4,9 +4,9 @@ import pytest
 
 from supernilhecke import symgroup as sg
 from supernilhecke.superring import (
-    SuperPolynomial, apply_perm, apply_simple, complete_h, demazure,
-    demazure_word, elementary_e, labeled_omega, labeled_omega_closed,
-    omega_to_top,
+    SuperPolynomial, accumulate, apply_perm, apply_simple, complete_h, demazure,
+    demazure_word, elementary_e, exponent_vectors, labeled_omega,
+    labeled_omega_closed, monomials_at, omega_to_top,
 )
 
 
@@ -210,6 +210,22 @@ def test_labeled_omega_base_and_guard():
             labeled_omega(n, m, 1, m)
 
 
+def reference_labeled_omega(n, m, k, a, memo=None):
+    """w_k^a by the defining recursion w_k^a = w_{k-1}^{a-1} - x_k w_k^{a-1}
+    (depth a - m - 1): the reference the closed form is checked against."""
+    memo = {} if memo is None else memo
+    if (k, a) not in memo:
+        if k == 0:
+            memo[(k, a)] = SuperPolynomial.zero(n, m)
+        elif a == m + 1:
+            memo[(k, a)] = SuperPolynomial.w(n, m, k)
+        else:
+            memo[(k, a)] = (reference_labeled_omega(n, m, k - 1, a - 1, memo)
+                            - SuperPolynomial.x(n, m, k)
+                            * reference_labeled_omega(n, m, k, a - 1, memo))
+    return memo[(k, a)]
+
+
 def test_labeled_omega_recursion_vs_closed_form():
     for n in range(1, 6):
         for m in (-2, -1, 0, 1):
@@ -217,9 +233,50 @@ def test_labeled_omega_recursion_vs_closed_form():
                 for t in range(0, 7):
                     a = m + 1 + t
                     lhs = labeled_omega(n, m, k, a)
+                    assert lhs == reference_labeled_omega(n, m, k, a), (n, m, k, a)
                     assert lhs == labeled_omega_closed(n, m, k, a), (n, m, k, a)
                     if not lhs.is_zero():
                         assert lhs.bidegree() == (2 * (a - k), 2)
+
+
+def test_labeled_omega_large_label():
+    # far beyond the recursion depth of the defining recursion
+    big = labeled_omega(2, -1, 2, 3000)
+    assert len(big.terms) == 3001
+    assert big.bidegree() == (2 * (3000 - 2), 2)
+    with pytest.raises(ValueError):
+        labeled_omega(2, -1, 3, 5)
+
+
+def test_monomials_at_enumerates_one_bidegree():
+    for n, m in ((0, -1), (1, 0), (3, -1), (4, 0)):
+        by_degree = {}
+        for om in range(1 << n):
+            odd = sum(2 * (m + 1 - i) for i in range(1, n + 1) if om >> (i - 1) & 1)
+            for s in range(17):
+                for xe in exponent_vectors(n, s):
+                    key = (2 * s + odd, 2 * bin(om).count("1"))
+                    by_degree.setdefault(key, []).append((xe, om))
+        for lam in range(-2, 2 * n + 3):
+            for q in range(-12, 9):
+                got = monomials_at(n, m, q, lam)
+                assert sorted(got) == sorted(by_degree.get((q, lam), [])), (n, m, q, lam)
+                assert [om for _, om in got] == sorted(om for _, om in got)
+
+
+def test_linear_combination_core():
+    n, m = 2, -1
+    f = SuperPolynomial.x(n, m, 1) + SuperPolynomial.w(n, m, 2)
+    assert (f - f).is_zero() and (f - f).terms == {}
+    assert f.scale(0) == SuperPolynomial.zero(n, m)
+    assert -f == f.scale(-1)
+    assert SuperPolynomial(n, m, {((0, 0), 0): 0}).terms == {}
+    # a ring element never equals an algebra element with the same terms
+    from supernilhecke.algebra import AlgebraElement
+    one = SuperPolynomial.one(n, m)
+    assert AlgebraElement(n, m, one.terms) != one
+    assert one != AlgebraElement(n, m, one.terms)
+    assert accumulate({"a": 1, "b": 2}, [("a", -1), ("c", 3), ("c", -3)]) == {"b": 2}
 
 
 def test_omega_to_top_round_trip():
