@@ -443,10 +443,8 @@ def spanning_rank_table(n: int, m: int, middle: AlgebraElement, qcut: int,
                     prod = left * E(n, m, {vkey: 1})
                     if prod.is_zero():
                         continue
-                    vec = [0] * len(monos)
-                    for key, c in prod.terms.items():
-                        vec[index[key]] = c
-                    if ech.add(vec) and ech.is_full():
+                    row = {index[key]: c for key, c in prod.terms.items()}
+                    if ech.add(row) and ech.is_full():
                         break
         if ech.rank:
             table[(q, l, par)] = ech.rank

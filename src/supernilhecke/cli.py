@@ -41,16 +41,18 @@ def _series_json(g: GradedDim) -> list[dict]:
             for (q, l, p), c in g.sorted_items()]
 
 
-def _emit(args, payload: dict, text: str) -> None:
+def _emit(args, payload: dict, text) -> None:
+    """Print the payload as JSON, or under --format text the string that the
+    zero-argument callable `text` builds (only then is it called)."""
     if args.format == "json":
         print(json.dumps(payload, sort_keys=True))
     else:
-        print(text)
+        print(text())
 
 
 def cmd_nf(args) -> int:
     elt = evaluate_algebra(parse(args.expr), args.n, args.m)
-    _emit(args, {"terms": elt.to_json_terms()}, repr(elt))
+    _emit(args, {"terms": elt.to_json_terms()}, lambda: repr(elt))
     return 0
 
 
@@ -58,7 +60,7 @@ def cmd_mul(args) -> int:
     lhs = evaluate_algebra(parse(args.left), args.n, args.m)
     rhs = evaluate_algebra(parse(args.right), args.n, args.m)
     prod = lhs * rhs
-    _emit(args, {"terms": prod.to_json_terms()}, repr(prod))
+    _emit(args, {"terms": prod.to_json_terms()}, lambda: repr(prod))
     return 0
 
 
@@ -66,7 +68,7 @@ def cmd_act(args) -> int:
     op = evaluate_algebra(parse(args.expr), args.n, args.m)
     arg = evaluate_ring(parse(args.ring_expr), args.n, args.m)
     res = act(op, arg)
-    _emit(args, {"terms": res.to_json_terms()}, repr(res))
+    _emit(args, {"terms": res.to_json_terms()}, lambda: repr(res))
     return 0
 
 
@@ -84,19 +86,19 @@ def _parts(text: str) -> tuple[int, ...]:
 def cmd_schur(args) -> int:
     sp = Superpartition(_parts(args.alpha), _parts(args.beta))
     res = schur_super(args.n, args.m, sp)
-    _emit(args, {"terms": res.to_json_terms()}, repr(res))
+    _emit(args, {"terms": res.to_json_terms()}, lambda: repr(res))
     return 0
 
 
 def cmd_grdim(args) -> int:
     g = grdim_An(args.n, args.m, args.qcut)
-    _emit(args, {"series": _series_json(g), "qcut": args.qcut}, repr(g))
+    _emit(args, {"series": _series_json(g), "qcut": args.qcut}, lambda: repr(g))
     return 0
 
 
 def cmd_ses_check(args) -> int:
     ok = ses_dimension_check(args.n, args.m, args.qcut)
-    _emit(args, {"passed": ok}, "pass" if ok else "FAIL")
+    _emit(args, {"passed": ok}, lambda: "pass" if ok else "FAIL")
     return 0 if ok else 1
 
 
@@ -107,7 +109,7 @@ def cmd_shapovalov(args) -> int:
     ok = sh == normalized.truncate(args.qcut)
     payload = {"shapovalov": _series_json(sh),
                "sdim_match_after_unit": ok}
-    _emit(args, payload, f"{sh!r}\nmatches unit . sdim: {ok}")
+    _emit(args, payload, lambda: f"{sh!r}\nmatches unit . sdim: {ok}")
     return 0 if ok else 1
 
 
@@ -115,8 +117,8 @@ def cmd_homology(args) -> int:
     params = DgParams(args.n, args.m, args.N)
     table = homology_ranks(params, args.qcut)
     rows = [{"q": q, "h": h, "dim": d} for (q, h), d in sorted(table.items())]
-    lines = ["q\th\tdim"] + [f"{r['q']}\t{r['h']}\t{r['dim']}" for r in rows]
-    _emit(args, {"table": rows}, "\n".join(lines))
+    _emit(args, {"table": rows}, lambda: "\n".join(
+        ["q\th\tdim"] + [f"{r['q']}\t{r['h']}\t{r['dim']}" for r in rows]))
     return 0
 
 
@@ -124,8 +126,8 @@ def cmd_cyclotomic(args) -> int:
     table = cyclotomic_grdim(args.n, args.N, args.qcut)
     rows = [{"q": q, "lambda": l, "pi": p, "dim": d}
             for (q, l, p), d in sorted(table.items())]
-    lines = ["q\tlambda\tdim"] + [f"{r['q']}\t{r['lambda']}\t{r['dim']}" for r in rows]
-    _emit(args, {"table": rows}, "\n".join(lines))
+    _emit(args, {"table": rows}, lambda: "\n".join(
+        ["q\tlambda\tdim"] + [f"{r['q']}\t{r['lambda']}\t{r['dim']}" for r in rows]))
     return 0
 
 
@@ -232,11 +234,9 @@ def cmd_verify(args) -> int:
     failures = [msg for name in names for msg in results[name]]
     payload = {"suites": {name: {"passed": not results[name],
                                  "failures": results[name]} for name in names}}
-    text = "\n".join(f"{name}: {'pass' if not results[name] else 'FAIL'}"
-                     for name in names)
-    if failures:
-        text += "\n" + "\n".join(failures)
-    _emit(args, payload, text)
+    _emit(args, payload, lambda: "\n".join(
+        [f"{name}: {'pass' if not results[name] else 'FAIL'}" for name in names]
+        + failures))
     return 0 if not failures else 1
 
 

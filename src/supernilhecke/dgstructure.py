@@ -264,17 +264,15 @@ def nilhecke_cyclotomic_oracle(n: int, M: int, qcut: int) -> dict[int, int]:
                 for (bexp, _, sigma) in by_deg[qv]:
                     mid = list(bexp)
                     mid[0] += M
-                    vec = [0] * len(monos)
-                    nonzero = False
+                    row: dict[int, int] = {}
                     for rho, h in pushed(theta, tuple(mid)).items():
                         prod_perm = compose_T(rho, sigma)
                         if prod_perm is None:
                             continue
-                        for (xe, om), c in h.terms.items():
-                            key = (tuple(x + y for x, y in zip(aexp, xe)), om, prod_perm)
-                            vec[col_index[key]] += c
-                            nonzero = True
-                    if nonzero and ech.add(vec) and ech.is_full():
+                        accumulate(row, (
+                            (col_index[(tuple(x + y for x, y in zip(aexp, xe)), om, prod_perm)], c)
+                            for (xe, om), c in h.terms.items()))
+                    if row and ech.add(row) and ech.is_full():
                         break
         if len(monos) - ech.rank:
             dims[q] = len(monos) - ech.rank

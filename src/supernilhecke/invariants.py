@@ -138,12 +138,12 @@ def decompose_even_over_schubert(f: SuperPolynomial) -> dict[Perm, SuperPolynomi
                 columns.append((p, sym * schuberts[p], sym))
         rows = sorted(exponent_vectors(n, d))
         row_index = {e: i for i, e in enumerate(rows)}
-        matrix = [[0] * len(columns) for _ in rows]
+        matrix: list[dict[int, int]] = [{} for _ in rows]
         for j, (_, prod, _) in enumerate(columns):
             for (xexp, _), c in prod.terms.items():
                 matrix[row_index[xexp]][j] = c
         rhs = [comp.get(e, 0) for e in rows]
-        sol = solve(matrix, rhs)
+        sol = solve(matrix, rhs, len(columns))
         if sol is None:
             raise ArithmeticError("inconsistent Schubert decomposition (bug)")
         for j, (p, _, sym) in enumerate(columns):

@@ -1,97 +1,70 @@
 """
 Exact integer/rational linear algebra.
 
-Rank and determinant share one sparse elimination kernel over the integers:
-dict rows, Markowitz pivot order (the sparsest row with a unit entry first),
-and fraction-free row updates scaled by a gcd, so every result is exact over
-the rationals and no entry ever becomes a fraction.  The streaming
-`IntEchelon` serves incremental spanning-rank checks with early exit, and
-`solve` goes through Fractions and reports non-integral solutions to the
-caller.
+Every entry point is built on one sparse reduction step, `_reduce`: a row
+{column: value} is reduced against echelon rows keyed by their least column,
+by fraction-free updates scaled by a gcd, so every result is exact over the
+rationals and no entry ever becomes a fraction.  `rank` feeds the rows of a
+matrix sparsest first, `sparse_det` turns the leads and the scalings into a
+determinant, the streaming `IntEchelon` serves incremental spanning-rank
+checks with early exit, and `solve` back-substitutes the echelon of [A | b]
+in Fractions, reporting non-integral solutions to the caller.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
 from itertools import compress
 from math import gcd
 
 
-def _eliminate(rows: list[dict[int, int]]):
-    """Sparse fraction-free elimination on integer rows {column: value},
-    which it consumes.  Returns (pivots, num, den): pivots lists
-    (row, column, value) in elimination order, and num/den is the factor by
-    which the row rescalings changed the determinant, so that for a square
-    nonsingular input det = sign * prod(values) * num / den, with sign the
-    parity of the permutation row -> column."""
-    col_rows: dict[int, set[int]] = {}
-    for i, r in enumerate(rows):
-        for c in r:
-            col_rows.setdefault(c, set()).add(i)
-    # live rows -> pivot order (no unit entry, length); the heap holds stale
-    # entries too, and an entry counts only while it matches `order`
-    order = {i: _pivot_order(r) for i, r in enumerate(rows) if r}
-    heap = [(k, i) for i, k in order.items()]
-    heapify(heap)
-    pivots: list[tuple[int, int, int]] = []
-    num = den = 1
-    while heap:
-        k, best = heappop(heap)
-        if order.get(best) != k:
-            continue
-        del order[best]
-        prow = rows[best]
-        c = min(prow, key=lambda cc: (abs(prow[cc]), len(col_rows[cc])))
-        p = prow[c]
-        pivots.append((best, c, p))
-        for cc in prow:
-            col_rows[cc].discard(best)
-        for j in list(col_rows[c]):
-            rj = rows[j]
-            v = rj[c]
-            g = gcd(p, v)
-            a, b = p // g, v // g
-            if a < 0:
-                a, b = -a, -b
-            if a != 1:  # row <- a*row - b*pivot row, then drop the content
-                for cc in rj:
-                    rj[cc] *= a
-                den *= a
-            for cc, pv in prow.items():
-                nv = rj.get(cc, 0) - b * pv
-                if nv:
-                    if cc not in rj:
-                        col_rows[cc].add(j)
-                    rj[cc] = nv
-                else:
-                    del rj[cc]
-                    col_rows[cc].discard(j)
-            if not rj:
-                del order[j]
-                continue
-            if a != 1:
-                content = gcd(*rj.values())
-                if content > 1:
-                    for cc in rj:
-                        rj[cc] //= content
-                    num *= content
-            k = _pivot_order(rj)
-            if k != order[j]:
-                order[j] = k
-                heappush(heap, (k, j))
-    return pivots, num, den
+def _reduce(row: dict[int, int], pivots: dict[int, dict[int, int]]):
+    """Reduce the integer row {column: value}, no zero values, in place,
+    against the echelon rows `pivots` (least column -> row) until its least
+    column has no pivot row.  Each step is row <- a*row - b*pivot row with a = p/g > 0, b = v/g
+    and g = gcd(p, v) of the two entries at that column.  Returns the
+    remainder (empty if the row lies in the span) and the product of the a."""
+    scale = 1
+    while row:
+        c = min(row)
+        prow = pivots.get(c)
+        if prow is None:
+            break
+        p, v = prow[c], row[c]
+        g = gcd(p, v)
+        a, b = p // g, v // g
+        if a < 0:
+            a, b = -a, -b
+        if a != 1:
+            for cc in row:
+                row[cc] *= a
+            scale *= a
+        for cc, pv in prow.items():
+            nv = row.get(cc, 0) - b * pv
+            if nv:
+                row[cc] = nv
+            else:
+                del row[cc]
+    return row, scale
 
 
-def _pivot_order(row: dict[int, int]) -> tuple[int, int]:
-    """Markowitz order of a row: rows with a unit entry first, then sparsest."""
-    vals = row.values()
-    return (0 if 1 in vals or -1 in vals else 1, len(vals))
+def _primitive(row: dict[int, int]) -> int:
+    """Divide a nonzero row by the gcd of its entries, in place; returns it."""
+    content = gcd(*row.values())
+    if content > 1:
+        for c in row:
+            row[c] //= content
+    return content
 
 
 def rank(matrix: list[list[int]]) -> int:
     """Rank over the rationals of a dense integer matrix (list of rows)."""
-    pivots, _, _ = _eliminate([{j: row[j] for j in compress(range(len(row)), row)}
-                               for row in matrix])
+    rows = [{j: row[j] for j in compress(range(len(row)), row)} for row in matrix]
+    pivots: dict[int, dict[int, int]] = {}
+    for row in sorted(filter(None, rows), key=len):
+        row, _ = _reduce(row, pivots)
+        if row:
+            _primitive(row)
+            pivots[min(row)] = row
     return len(pivots)
 
 
@@ -102,15 +75,22 @@ def sparse_det(rows: list[dict[int, int]], size: int) -> int:
         raise ValueError("matrix is not square")
     if any(not 0 <= c < size for r in rows for c in r):
         raise ValueError("column index out of range")
-    pivots, num, den = _eliminate([dict(r) for r in rows])
-    if len(pivots) < size:
-        return 0
+    # Each reduction multiplies the determinant by its scale, and dividing a
+    # stored row by its content divides it; the stored rows are triangular
+    # up to the permutation row -> lead column.
+    pivots: dict[int, dict[int, int]] = {}
     perm = [0] * size
-    out = num
-    for r, c, p in pivots:
-        perm[r] = c
-        out *= p
-    return _perm_sign(perm) * out // den
+    num = den = 1
+    for i in sorted(range(size), key=lambda i: len(rows[i])):
+        row, scale = _reduce({c: v for c, v in rows[i].items() if v}, pivots)
+        if not row:
+            return 0
+        lead = min(row)
+        num *= _primitive(row) * row[lead]
+        den *= scale
+        pivots[lead] = row
+        perm[i] = lead
+    return _perm_sign(perm) * num // den
 
 
 def _perm_sign(perm: list[int]) -> int:
@@ -128,12 +108,12 @@ def _perm_sign(perm: list[int]) -> int:
 
 
 class IntEchelon:
-    """Streaming row echelon over the integers (gcd-normalized rows), for
-    incremental exact rank of large spanning sets with early exit."""
+    """Streaming row echelon over the integers (gcd-normalized sparse rows),
+    for incremental exact rank of large spanning sets with early exit."""
 
     def __init__(self, ncols: int):
         self.ncols = ncols
-        self.rows: dict[int, list[int]] = {}  # lead column -> normalized row
+        self.rows: dict[int, dict[int, int]] = {}  # lead column -> row
 
     @property
     def rank(self) -> int:
@@ -142,56 +122,43 @@ class IntEchelon:
     def is_full(self) -> bool:
         return len(self.rows) == self.ncols
 
-    def add(self, row: list[int]) -> bool:
-        """Reduce a row against the echelon; returns True if rank grew."""
-        row = row[:]
-        while True:
-            lead = next((j for j, v in enumerate(row) if v != 0), None)
-            if lead is None:
-                return False
-            piv = self.rows.get(lead)
-            if piv is None:
-                g = 0
-                for v in row:
-                    g = gcd(g, v)
-                if g > 1:
-                    row = [v // g for v in row]
-                self.rows[lead] = row
-                return True
-            a, b = piv[lead], row[lead]
-            row = [b_i * a - p_i * b for b_i, p_i in zip(row, piv)]
+    def add(self, row: dict[int, int]) -> bool:
+        """Reduce a sparse row {column: value} against the echelon; returns
+        True if rank grew."""
+        row, _ = _reduce({c: v for c, v in row.items() if v}, self.rows)
+        if not row:
+            return False
+        _primitive(row)
+        self.rows[min(row)] = row
+        return True
 
 
-def solve(matrix: list[list[int]], rhs: list) -> list[Fraction] | None:
-    """Solve matrix . x = rhs exactly; None if inconsistent.
+def solve(rows: list[dict[int, int]], rhs: list[int],
+          ncols: int) -> list[Fraction] | None:
+    """Solve A . x = rhs exactly for A given as sparse integer rows
+    {column: value}, columns in range(ncols); None if inconsistent.
 
-    The matrix need not be square; a particular solution is returned with
-    free variables set to zero.
+    A need not be square; a particular solution is returned with free
+    variables set to zero.
     """
-    rows = len(matrix)
-    cols = len(matrix[0]) if rows else 0
-    a = [[Fraction(v) for v in row] + [Fraction(rhs[i])] for i, row in enumerate(matrix)]
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [v * inv for v in a[r]]
-        for i in range(rows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [a[i][j] - f * a[r][j] for j in range(cols + 1)]
-        pivots.append((r, c))
-        r += 1
-        if r == rows:
-            break
-    for i in range(r, rows):
-        if a[i][cols] != 0:
-            return None
-    x = [Fraction(0)] * cols
-    for i, c in pivots:
-        x[c] = a[i][cols]
+    pivots: dict[int, dict[int, int]] = {}
+    for r, b in zip(rows, rhs):
+        row = {c: v for c, v in r.items() if v}
+        if b:
+            row[ncols] = b
+        row, _ = _reduce(row, pivots)
+        if row:
+            lead = min(row)
+            if lead == ncols:
+                return None
+            _primitive(row)
+            pivots[lead] = row
+    x = [Fraction(0)] * ncols
+    for lead in sorted(pivots, reverse=True):
+        row = pivots[lead]
+        acc = Fraction(row.get(ncols, 0))
+        for c, v in row.items():
+            if lead < c < ncols:
+                acc -= v * x[c]
+        x[lead] = acc / row[lead]
     return x

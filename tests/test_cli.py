@@ -46,6 +46,33 @@ def test_mul_and_act(capsys):
     assert json.loads(out)["terms"] == [{"coeff": 1, "x": [0, 0], "w": []}]
 
 
+def test_json_output_never_builds_the_text_form(capsys, monkeypatch):
+    from supernilhecke.gradedseries import GradedDim
+    commands = [("mul", "--n", "3", "--", "2*x1*x2*w1*T1*T2", "3*w3*x1*x2"),
+                ("nf", "--n", "2", "T1*x1"),
+                ("act", "--n", "2", "T1", "x1*w2"),
+                ("schur", "--n", "2", "[1]", "[2]"),
+                ("grdim", "--n", "2", "--qcut", "4"),
+                ("shapovalov", "--n", "2", "--qcut", "4")]
+
+    def run(fmt, argv):
+        return run_cli(capsys, argv[0], "--format", fmt, *argv[1:])
+
+    want = [run("json", argv) for argv in commands]
+    text = run("text", commands[0])
+    assert all(code == 0 for code, _ in want) and text[0] == 0
+
+    def broken(self):
+        raise AssertionError("text form built under --format json")
+
+    for cls in (AlgebraElement, SuperPolynomial, GradedDim):
+        monkeypatch.setattr(cls, "__repr__", broken)
+    for argv, expected in zip(commands, want):
+        assert run("json", argv) == expected, argv
+    monkeypatch.undo()
+    assert run("text", commands[0]) == text
+
+
 def test_leading_minus_expression_after_double_dash(capsys):
     code, out = run_cli(capsys, "mul", "--n", "2", "--", "-3*x1", "x2")
     assert code == 0

@@ -239,10 +239,8 @@ def test_invariant_basis_spans_by_dimension():
                     continue
                 for sym in _symmetric_monomial_basis(n, m, rem // 2):
                     prod = sym * elt
-                    vec = [0] * len(monos)
-                    for key, c in prod.terms.items():
-                        vec[index[key]] = c
-                    if ech.add(vec):
+                    row = {index[key]: c for key, c in prod.terms.items()}
+                    if ech.add(row):
                         span += 1
             want = _invariant_dimension(n, m, q, lam)
             assert span == want, (n, m, k, q, span, want)
