@@ -402,8 +402,8 @@ def _min_qdeg(n: int, m: int) -> int:
     return lead - n * (n - 1)
 
 
-def spanning_rank_table(n: int, m: int, middle: AlgebraElement, qcut: int,
-                        lcut: int | None = None) -> dict[tuple[int, int, int], int]:
+def spanning_rank_table(n: int, m: int, middle: AlgebraElement,
+                        qcut: int) -> dict[tuple[int, int, int], int]:
     """Per-(q, lambda, parity) rank of the two-sided span { u . middle . v }
     over basis monomials u, v, for q <= qcut."""
     from .linalg import IntEchelon
@@ -425,8 +425,6 @@ def spanning_rank_table(n: int, m: int, middle: AlgebraElement, qcut: int,
     dims = basis_counts(n, m, qcut)
     table: dict[tuple[int, int, int], int] = {}
     for (q, l, par), dim_full in dims.items():
-        if lcut is not None and l > lcut:
-            continue
         monos = basis_at_bidegree(n, m, q, l)
         index = {key: i for i, key in enumerate(monos)}
         ech = IntEchelon(len(monos))

@@ -16,7 +16,8 @@ from supernilhecke.dgstructure import (
     verify_d_squared,
 )
 from supernilhecke.gradedseries import (
-    grdim_An, sdim_An, ses_dimension_check, shapovalov_unit, verma_shapovalov,
+    grdim_An, nilhecke_cyclotomic_grdim, sdim_An, ses_dimension_check,
+    shapovalov_unit, verma_shapovalov,
 )
 from supernilhecke.induction import (
     projection_poly_part, recombine_ses, ses_split,
@@ -200,9 +201,9 @@ def test_criterion_6_ses():
     # graded-dimension identity
     for n in (1, 2, 3):
         for m in (-2, -1, 0, 1):
-            assert ses_dimension_check(n, m, 12), (n, m)
+            assert ses_dimension_check(n, m), (n, m)
     _report(6, "SES splits exactly (100 seeded elements), projection formula "
-               "j <= 8, dimension identity q <= 12", started, limit=120)
+               "j <= 8, dimension identity exact", started, limit=120)
 
 
 def test_criterion_7_dg():
@@ -224,13 +225,15 @@ def test_criterion_7_dg():
                 assert table == {}, (n, m, N)
             if (n, L) not in oracle_cache:
                 oracle_cache[(n, L)] = nilhecke_cyclotomic_oracle(n, L, qcut)
-            assert {q: d for (q, h), d in table.items()} == oracle_cache[(n, L)], \
-                (n, m, N)
+            by_q = {q: d for (q, h), d in table.items()}
+            assert by_q == oracle_cache[(n, L)], (n, m, N)
+            assert by_q == nilhecke_cyclotomic_grdim(n, L, qcut), (n, m, N)
     # Leibniz well-definedness at a few representative points
     for (n, m, N) in ((2, -1, 2), (3, 0, 2), (2, -2, 4)):
         assert verify_d_squared(DgParams(n, m, N), 8)
     _report(7, "d^2 = 0 exhaustively q <= 12, homology in degree 0 equal to "
-               "the cyclotomic oracle, acyclicity beyond the level",
+               "the cyclotomic oracle and the closed form, acyclicity beyond "
+               "the level",
             started, limit=300)
 
 

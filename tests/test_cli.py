@@ -151,6 +151,15 @@ def test_cyclotomic_command(capsys):
     assert json.loads(out)["table"] == []
 
 
+def test_ses_check_does_not_read_qcut(capsys):
+    # the identity is checked exactly, so a q-window below the series'
+    # support is no error
+    code, out = run_cli(capsys, "ses-check", "--n", "1", "--m", "-1",
+                        "--qcut", "-7")
+    assert code == 0
+    assert json.loads(out) == {"passed": True}
+
+
 def test_shapovalov_command(capsys):
     code, out = run_cli(capsys, "shapovalov", "--n", "2", "--m", "0",
                         "--qcut", "8")
@@ -236,6 +245,7 @@ def test_verify_all_with_jobs(capsys):
     ("schur", "[1.5]", "[]"),
     ("schur", "[true]", "[]"),
     ("schur", "1", "[]"),
+    ("grdim", "--n", "0", "--qcut", "-1"),
 ])
 def test_out_of_range_input_is_a_usage_error(capsys, argv):
     code, out, err = run_cli_err(capsys, *argv)

@@ -2,12 +2,20 @@ import random
 
 import pytest
 
+from supernilhecke import gradedseries
 from supernilhecke.algebra import basis_counts
+from supernilhecke.dgstructure import nilhecke_cyclotomic_oracle
 from supernilhecke.gradedseries import (
-    GradedDim, geometric_inv_1_minus_q2, grdim_An, quantum_factorial,
-    quantum_int, sdim_An, ses_dimension_check, shapovalov_unit,
-    verma_shapovalov,
+    GradedDim, _grdim_numerator, grdim_An, nilhecke_cyclotomic_grdim,
+    quantum_factorial, quantum_int, sdim_An, ses_dimension_check,
+    shapovalov_unit, verma_shapovalov,
 )
+
+
+def dense_geometric(qcut):
+    """Reference 1/(1-q^2) = 1 + q^2 + ... + q^{2 floor(qcut/2)} as a dense
+    series, exact for q <= qcut."""
+    return GradedDim(0, qcut, {(2 * j, 0, 0): 1 for j in range(qcut // 2 + 1)})
 
 
 def test_quantum_integers():
@@ -32,17 +40,40 @@ def test_multiply_by_one_in_window():
 
 def test_geometric_inverse():
     one_minus = GradedDim.one() - GradedDim.term(1, 2)
-    geo = geometric_inv_1_minus_q2(20)
-    prod = one_minus * geo
-    assert prod == GradedDim.one(qcut=20)
-    assert prod.qcut == 20  # exact factor keeps the truncated factor's window
+    quot = one_minus.over_1_minus_q2(20)
+    assert quot == GradedDim.one(qcut=20)
+    assert quot.qcut == 20  # an exact operand keeps the requested window
+    assert GradedDim.one().over_1_minus_q2(20) == dense_geometric(20)
 
 
 def test_window_shrinks_for_two_truncated_factors():
-    a = geometric_inv_1_minus_q2(10)
     b = GradedDim(-2, 8, {(-2, 0, 0): 1, (4, 0, 0): 2})
-    prod = a * b
-    assert prod.qcut == 8  # min(10 + (-2), 8 + 0)
+    quot = b.over_1_minus_q2(10)
+    assert quot.qcut == 8  # min(8, 10): the operand is exact only to 8
+    assert quot.qmin == -2
+    assert b.over_1_minus_q2(6).qcut == 6
+
+
+def test_over_1_minus_q2_matches_dense_series():
+    rng = random.Random(11)
+    for trial in range(200):
+        qmin = rng.randrange(-9, 3)
+        qcut = rng.choice([None, qmin + rng.randrange(0, 14)])
+        coeffs = {}
+        for _ in range(rng.randrange(0, 7)):
+            key = (rng.randrange(qmin, qmin + 16), rng.randrange(-3, 5),
+                   rng.randrange(2))
+            coeffs[key] = rng.randrange(-4, 5)
+        g = GradedDim(qmin, qcut, coeffs)
+        cut = rng.randrange(qmin, 18)
+        want_cut = cut if qcut is None else min(qcut, cut)
+        quot = g.over_1_minus_q2(cut)
+        # the dense factor must reach cut - qmin so that the product is
+        # sound up to the quotient's window
+        ref = g * dense_geometric(cut - qmin)
+        assert quot.qcut == want_cut == ref.qcut, trial
+        assert quot.qmin == g.qmin, trial
+        assert quot == ref, trial
 
 
 def test_ring_laws_random():
@@ -55,7 +86,7 @@ def test_ring_laws_random():
             l = rng.randrange(-1, 3)
             p = rng.randrange(2)
             coeffs[(q, l, p)] = rng.randrange(-3, 4)
-        return GradedDim(-4, qcut, coeffs, lmin=-1)
+        return GradedDim(-4, qcut, coeffs)
 
     for _ in range(20):
         a, b, c = rand_series(), rand_series(), rand_series()
@@ -88,35 +119,27 @@ def test_grdim_nonnegative():
 def test_ses_dimension_check():
     for n in (1, 2, 3):
         for m in (-2, -1, 0, 1):
-            assert ses_dimension_check(n, m, 12), (n, m)
-
-
-def test_ses_dimension_check_negative_control():
-    # perturbing the shift exponent 2m-4n -> 2m-4n+2 must fail
-    n, m, qcut = 1, -1, 10
-    margin = 2 * n * (n + 2) + 2 * (abs(m) + 2) * (n + 2) + 8
-    wide = qcut + margin
-    a_prev = grdim_An(n - 1, m, wide)
-    a_n = grdim_An(n, m, wide)
-    a_next = grdim_An(n + 1, m, qcut)
-    inv_prev = a_prev.inverse(wide, lcut=2 * (n + 1))
-    mid = (GradedDim.term(1, -2) * a_n * a_n * inv_prev).truncate(qcut)
-    bad_shift = GradedDim.one() + GradedDim.term(1, 2 * m - 4 * n + 2, 2, 1)
-    tail = (bad_shift * a_n * geometric_inv_1_minus_q2(wide)).truncate(qcut)
-    assert not (a_next == mid + tail)
-
-
-def test_inverse_guards():
-    with pytest.raises(ZeroDivisionError):
-        GradedDim.zero()._invert_lambda_free(4)
-    two = GradedDim.term(2)
+            assert ses_dimension_check(n, m), (n, m)
     with pytest.raises(ValueError):
-        two._invert_lambda_free(4)
-    # window too small to see the unit structure: a fake series whose lowest
-    # visible q-term is not a unit
-    f = GradedDim(0, 4, {(0, 0, 0): 3, (2, 0, 0): 1})
-    with pytest.raises(ValueError):
-        f.inverse(4, lcut=2)
+        ses_dimension_check(0, -1)
+
+
+def test_ses_dimension_check_negative_control(monkeypatch):
+    # the checked identity P_{n+1} P_{n-1} = q^-2 P_n^2 + shift P_n P_{n-1};
+    # moving the shift exponent 2m-4n by d must break it
+    for n in (1, 2, 3):
+        for m in (-2, -1, 0, 1):
+            p_prev, p_n, p_next = (_grdim_numerator(k, m) for k in (n - 1, n, n + 1))
+            lhs = p_next * p_prev
+            for d in (-2, 2, 4):
+                bad = GradedDim.one() + GradedDim.term(1, 2 * m - 4 * n + d, 2, 1)
+                assert lhs != GradedDim.term(1, -2) * p_n * p_n + bad * p_n * p_prev, \
+                    (n, m, d)
+    # and the check itself rejects numerators P_k q^{2k}
+    exact = gradedseries._grdim_numerator
+    monkeypatch.setattr(gradedseries, "_grdim_numerator",
+                        lambda k, m: exact(k, m) * GradedDim.term(1, 2 * k))
+    assert not ses_dimension_check(2, -1)
 
 
 def test_empty_window_rejected():
@@ -125,12 +148,6 @@ def test_empty_window_rejected():
         g.truncate(1)
     with pytest.raises(ValueError):
         GradedDim(0, -2)
-
-
-def test_inverse_round_trip():
-    f = grdim_An(2, -1, 24)
-    inv = f.inverse(16, lcut=8)
-    assert (f * inv).truncate_lambda(8) == GradedDim.one()
 
 
 def test_shapovalov_matches_superdimension():
@@ -157,3 +174,10 @@ def test_shapovalov_n1_series():
 def test_shapovalov_unit_value():
     u = shapovalov_unit(1, -1)
     assert u.coeffs == {(2, -1, 0): 1}  # lam^{-1} q^{1-m} at m = -1
+
+
+def test_cyclotomic_closed_form_matches_oracle():
+    for n in range(0, 4):
+        for L in range(0, 6):
+            want = nilhecke_cyclotomic_oracle(n, L, 12)
+            assert nilhecke_cyclotomic_grdim(n, L, 12) == want, (n, L)
