@@ -11,6 +11,7 @@ zero otherwise.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 
 from . import symgroup
 from .superring import (
@@ -86,28 +87,8 @@ class AlgebraElement(LinearCombination):
 
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check(other)
-        n, m = self.n, self.m
-        out: dict[TermKey, int] = {}
-        left = self._group_by_perm()
-        right = other._group_by_perm()
-        for sigma, g in right.items():
-            lsigma = symgroup.length(sigma)
-            for theta, f in left.items():
-                pushed = push_T_through(symgroup.reduced_word(theta), g)
-                for rho, h in pushed.items():
-                    prod_perm = symgroup.compose(rho, sigma)
-                    if symgroup.length(prod_perm) != symgroup.length(rho) + lsigma:
-                        continue
-                    # Inline rather than accumulate(): a generator per product
-                    # took about 8% more CPU time on the cyclotomic workload.
-                    for key, c in (f * h).terms.items():
-                        tk = (key[0], key[1], prod_perm)
-                        v = out.get(tk, 0) + c
-                        if v:
-                            out[tk] = v
-                        else:
-                            out.pop(tk, None)
-        return AlgebraElement(n, m, out)
+        return AlgebraElement(self.n, self.m, _times(
+            self._group_by_perm(), other._group_by_perm(), {}))
 
     # ---- grading and display ------------------------------------------------
     def monomial_bidegree(self, key: TermKey) -> tuple[int, int]:
@@ -131,29 +112,61 @@ class AlgebraElement(LinearCombination):
         ]
 
 
+@lru_cache(maxsize=None)
+def _compose_adding(rho: Perm, sigma: Perm) -> Perm | None:
+    """rho.sigma when the lengths add, else None (then T_rho T_sigma = 0)."""
+    prod = symgroup.compose(rho, sigma)
+    adds = symgroup.length(prod) == symgroup.length(rho) + symgroup.length(sigma)
+    return prod if adds else None
+
+
+def _times(left: dict[Perm, SuperPolynomial], right: dict[Perm, SuperPolynomial],
+           push_cache: dict) -> dict[TermKey, int]:
+    """Terms of the product of two elements given as groups perm -> ring part:
+    f T_theta . g T_sigma = sum_rho f h_rho T_rho T_sigma, where T_theta . g =
+    sum_rho h_rho T_rho comes from push_T_through, looked up in push_cache
+    under (theta, terms of g) first."""
+    out: dict[TermKey, int] = {}
+    for sigma, g in right.items():
+        gkey = tuple(g.terms.items())
+        for theta, f in left.items():
+            pushed = push_cache.get((theta, gkey))
+            if pushed is None:
+                pushed = push_cache[theta, gkey] = push_T_through(
+                    symgroup.reduced_word(theta), g)
+            for rho, h in pushed.items():
+                prod_perm = _compose_adding(rho, sigma)
+                if prod_perm is None:
+                    continue
+                # Inline rather than accumulate(): a generator per product
+                # took about 8% more CPU time on the cyclotomic workload.
+                for key, c in (f * h).terms.items():
+                    tk = (key[0], key[1], prod_perm)
+                    v = out.get(tk, 0) + c
+                    if v:
+                        out[tk] = v
+                    else:
+                        out.pop(tk, None)
+    return out
+
+
 def push_T_through(letters: Word, f: SuperPolynomial) -> dict[Perm, SuperPolynomial]:
     """Normal form of T_w . f as a map perm -> coefficient, via the twist rule
     T_i . g = d_i(g) + s_i(g) T_i applied letter by letter, bottom-to-top."""
-    n = f.n
-    result: dict[Perm, SuperPolynomial] = {symgroup.identity(n): f}
+    result: dict[Perm, SuperPolynomial] = {symgroup.identity(f.n): f}
     for i in letters:
         new: dict[Perm, SuperPolynomial] = {}
-
-        def add(perm, poly):
-            if poly.is_zero():
-                return
-            if perm in new:
-                new[perm] = new[perm] + poly
-                if new[perm].is_zero():
-                    del new[perm]
-            else:
-                new[perm] = poly
-
         for rho, h in result.items():
-            add(rho, demazure(i, h))
+            images = [(rho, demazure(i, h))]
             srho = symgroup.apply_word_letter(rho, i)
             if symgroup.length(srho) == symgroup.length(rho) + 1:
-                add(srho, apply_simple(i, h))
+                images.append((srho, apply_simple(i, h)))
+            for perm, poly in images:
+                poly = new[perm] + poly if perm in new else poly
+                if poly.is_zero():
+                    new.pop(perm, None)
+                else:
+                    new[perm] = poly
         result = new
     return result
 
@@ -405,26 +418,35 @@ def _min_qdeg(n: int, m: int) -> int:
 def spanning_rank_table(n: int, m: int, middle: AlgebraElement,
                         qcut: int) -> dict[tuple[int, int, int], int]:
     """Per-(q, lambda, parity) rank of the two-sided span { u . middle . v }
-    over basis monomials u, v, for q <= qcut."""
+    over basis monomials u, v, for q <= qcut.
+
+    Both products go through _times.  The lefts u . middle share one cache
+    per call, at most one entry per (perm, group of the middle).  The rows
+    left . v use a second cache, emptied at every (target degree, left degree)
+    block: within a block every left meets the same monomials v, so there the
+    pushes of T-words through ring parts repeat.  A cache kept for the whole
+    call ran the cyclotomic benchmark about 8% faster, but raised the largest
+    job's traced allocation peak from 7.0 MB to 9.6 MB (8.0 MB with no cache)
+    and the benchmark's peak RSS from 29.6 MB to 32.8 MB (30.5 MB with no
+    cache), beyond its 5% bound.  Rows are visited in a fixed order, so each
+    rank and the early exit do not depend on the caches.
+    """
     from .linalg import IntEchelon
-    E = AlgebraElement
-    mid_deg = middle.bidegree()
-    if mid_deg is None:
+    if middle.bidegree() is None:
         raise ValueError("middle element must be homogeneous and nonzero")
-    dq, dl = mid_deg
-    minq = _min_qdeg(n, m)
-    pool = basis(n, m, qcut - dq - minq)
+    dq, dl = middle.bidegree()
     by_deg: dict[tuple[int, int], list[TermKey]] = {}
-    for key in pool:
-        e = E(n, m, {key: 1})
-        by_deg.setdefault(e.monomial_bidegree(key), []).append(key)
+    for key in basis(n, m, qcut - dq - _min_qdeg(n, m)):
+        by_deg.setdefault(middle.monomial_bidegree(key), []).append(key)
+    mid_groups, mid_cache = middle._group_by_perm(), {}
     lefts: dict[tuple[int, int], list[AlgebraElement]] = {}
     for deg, us in by_deg.items():
-        ls = [E(n, m, {ukey: 1}) * middle for ukey in us]
+        ls = [AlgebraElement(n, m, _times({u[2]: SuperPolynomial(n, m, {u[:2]: 1})},
+                                          mid_groups, mid_cache)) for u in us]
         lefts[deg] = [l for l in ls if not l.is_zero()]
     dims = basis_counts(n, m, qcut)
     table: dict[tuple[int, int, int], int] = {}
-    for (q, l, par), dim_full in dims.items():
+    for q, l, par in dims:
         monos = basis_at_bidegree(n, m, q, l)
         index = {key: i for i, key in enumerate(monos)}
         ech = IntEchelon(len(monos))
@@ -434,14 +456,17 @@ def spanning_rank_table(n: int, m: int, middle: AlgebraElement,
             qv, lv = q - dq - qu, l - dl - lu
             if (qv, lv) not in by_deg:
                 continue
+            rights = [{v[2]: SuperPolynomial(n, m, {v[:2]: 1})} for v in by_deg[(qv, lv)]]
+            push_cache: dict = {}
             for left in ls:
                 if ech.is_full():
                     break
-                for vkey in by_deg[(qv, lv)]:
-                    prod = left * E(n, m, {vkey: 1})
-                    if prod.is_zero():
+                groups = left._group_by_perm()
+                for right in rights:
+                    prod = _times(groups, right, push_cache)
+                    if not prod:
                         continue
-                    row = {index[key]: c for key, c in prod.terms.items()}
+                    row = {index[key]: c for key, c in prod.items()}
                     if ech.add(row) and ech.is_full():
                         break
         if ech.rank:

@@ -211,7 +211,7 @@ def nilhecke_cyclotomic_oracle(n: int, M: int, qcut: int) -> dict[int, int]:
         raise ValueError("cyclotomic exponent must be nonnegative")
     if n == 0:
         return {0: 1} if qcut >= 0 else {}
-    from .algebra import push_T_through
+    from .algebra import _compose_adding, push_T_through
     m = -1
     minq = -n * (n - 1)
     # nilHecke basis monomials: omask = 0, enumerated wide enough to cover
@@ -232,17 +232,6 @@ def nilhecke_cyclotomic_oracle(n: int, M: int, qcut: int) -> dict[int, int]:
             f = SuperPolynomial.monomial(n, m, bexp, 0)
             push_cache[kk] = push_T_through(symgroup.reduced_word(perm), f)
         return push_cache[kk]
-
-    lengths = {p: symgroup.length(p) for p in symgroup.all_permutations(n)}
-    composed: dict[tuple, tuple | None] = {}
-
-    def compose_T(rho, sigma):
-        kk = (rho, sigma)
-        if kk not in composed:
-            prod = symgroup.compose(rho, sigma)
-            ok = lengths[prod] == lengths[rho] + lengths[sigma]
-            composed[kk] = prod if ok else None
-        return composed[kk]
 
     from .linalg import IntEchelon
     dims: dict[int, int] = {}
@@ -266,7 +255,7 @@ def nilhecke_cyclotomic_oracle(n: int, M: int, qcut: int) -> dict[int, int]:
                     mid[0] += M
                     row: dict[int, int] = {}
                     for rho, h in pushed(theta, tuple(mid)).items():
-                        prod_perm = compose_T(rho, sigma)
+                        prod_perm = _compose_adding(rho, sigma)
                         if prod_perm is None:
                             continue
                         accumulate(row, (

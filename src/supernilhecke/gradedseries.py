@@ -45,17 +45,16 @@ class GradedDim:
 
     # ---- constructors ----------------------------------------------------
     @classmethod
-    def zero(cls, qcut: int | None = None) -> "GradedDim":
-        return cls(0, qcut)
+    def zero(cls) -> "GradedDim":
+        return cls(0, None)
 
     @classmethod
-    def term(cls, coeff: int = 1, q: int = 0, lam: int = 0, pi: int = 0,
-             qcut: int | None = None) -> "GradedDim":
-        return cls(min(q, 0), qcut, {(q, lam, pi): coeff})
+    def term(cls, coeff: int = 1, q: int = 0, lam: int = 0, pi: int = 0) -> "GradedDim":
+        return cls(min(q, 0), None, {(q, lam, pi): coeff})
 
     @classmethod
     def one(cls, qcut: int | None = None) -> "GradedDim":
-        return cls.term(1, qcut=qcut)
+        return cls(0, qcut, {(0, 0, 0): 1})
 
     # ---- ring operations ----------------------------------------------------
     def __add__(self, other: "GradedDim") -> "GradedDim":
@@ -156,18 +155,18 @@ class GradedDim:
         return signed_sum(pieces)
 
 
-def quantum_int(k: int, qcut: int | None = None) -> GradedDim:
+def quantum_int(k: int) -> GradedDim:
     """[k] = q^{k-1} + q^{k-3} + ... + q^{1-k}."""
     if k < 0:
         raise ValueError("quantum integer of a negative argument")
-    return GradedDim(1 - k if k else 0, qcut,
+    return GradedDim(1 - k if k else 0, None,
                      {(k - 1 - 2 * j, 0, 0): 1 for j in range(k)})
 
 
-def quantum_factorial(k: int, qcut: int | None = None) -> GradedDim:
-    acc = GradedDim.one(qcut)
+def quantum_factorial(k: int) -> GradedDim:
+    acc = GradedDim.one()
     for j in range(1, k + 1):
-        acc = acc * quantum_int(j, qcut)
+        acc = acc * quantum_int(j)
     return acc
 
 

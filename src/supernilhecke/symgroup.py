@@ -24,10 +24,6 @@ def identity(n: int) -> Perm:
     return tuple(range(1, n + 1))
 
 
-def is_permutation(p) -> bool:
-    return sorted(p) == list(range(1, len(p) + 1))
-
-
 def simple(n: int, i: int) -> Perm:
     """The simple transposition s_i = (i  i+1) in S_n."""
     if not 1 <= i <= n - 1:

@@ -1,14 +1,18 @@
 import random
 
+import pytest
+
 from supernilhecke import symgroup as sg
 from supernilhecke.algebra import (
-    AlgebraElement, act, basis, basis_counts, cyclotomic_grdim, idempotent_e,
-    phi, push_T_through, random_element, spanning_rank_table, tau, theta,
-    tight_basis, tight_monomial_skeletons, verify_relations,
+    AlgebraElement, act, basis, basis_at_bidegree, basis_counts,
+    cyclotomic_grdim, idempotent_e, phi, push_T_through, random_element,
+    spanning_rank_table, tau, theta, tight_basis, tight_monomial_skeletons,
+    verify_relations,
 )
+from supernilhecke.gradedseries import nilhecke_cyclotomic_grdim
 from supernilhecke.invariants import schubert
-from supernilhecke.linalg import sparse_det
-from supernilhecke.superring import SuperPolynomial
+from supernilhecke.linalg import IntEchelon, sparse_det
+from supernilhecke.superring import SuperPolynomial, apply_simple, demazure
 
 E = AlgebraElement
 
@@ -244,3 +248,185 @@ def test_idempotent_span_is_everything():
         m = -1
         table = spanning_rank_table(n, m, idempotent_e(n, m), 8)
         assert table == basis_counts(n, m, 8)
+
+
+# ---- reference product and spanning table ------------------------------------
+# Slow copies of the per-pair product and of the spanning table that multiply
+# one pair of elements at a time, with no cache and no composition table.  The
+# shared product kernel behind AlgebraElement.__mul__ and spanning_rank_table
+# must agree with them.
+
+def reference_push(letters, f):
+    """T_w . f letter by letter by the twist rule, as perm -> ring part."""
+    result = {sg.identity(f.n): f}
+    for i in letters:
+        new = {}
+        for rho, h in result.items():
+            pieces = [(rho, demazure(i, h))]
+            srho = sg.apply_word_letter(rho, i)
+            if sg.length(srho) == sg.length(rho) + 1:
+                pieces.append((srho, apply_simple(i, h)))
+            for perm, poly in pieces:
+                new[perm] = new.get(perm, SuperPolynomial.zero(f.n, f.m)) + poly
+        result = {p: h for p, h in new.items() if not h.is_zero()}
+    return result
+
+
+def reference_mul(a, b):
+    """f T_theta . g T_sigma summed over every pair of terms."""
+    n, m = a.n, a.m
+    out = E.zero(n, m)
+    for (xa, oa, theta_), ca in a.terms.items():
+        f = SuperPolynomial.monomial(n, m, xa, oa, ca)
+        for (xb, ob, sigma), cb in b.terms.items():
+            g = SuperPolynomial.monomial(n, m, xb, ob, cb)
+            for rho, h in reference_push(sg.reduced_word(theta_), g).items():
+                perm = sg.compose(rho, sigma)
+                if sg.length(perm) != sg.length(rho) + sg.length(sigma):
+                    continue
+                out = out + E(n, m, {(x, o, perm): c for (x, o), c in (f * h).terms.items()})
+    return out
+
+
+def reference_spanning_rank_table(n, m, middle, qcut):
+    """Rank per (q, lambda, parity) of the span of u . middle . v over basis
+    monomials u, v, with every product formed by reference_mul; rows stop
+    once a degree is full."""
+    dq, dl = middle.bidegree()
+    minq = sum(min(0, 2 * (m - i)) for i in range(n)) - n * (n - 1)
+    by_deg = {}
+    for key in basis(n, m, qcut - dq - minq):
+        by_deg.setdefault(E(n, m, {key: 1}).bidegree(), []).append(key)
+    lefts = {}
+    for deg, us in by_deg.items():
+        ls = [reference_mul(E(n, m, {u: 1}), middle) for u in us]
+        lefts[deg] = [left for left in ls if not left.is_zero()]
+    table = {}
+    for q, l, par in basis_counts(n, m, qcut):
+        monos = basis_at_bidegree(n, m, q, l)
+        index = {key: i for i, key in enumerate(monos)}
+        ech = IntEchelon(len(monos))
+        for (qu, lu), ls in lefts.items():
+            if ech.is_full():
+                break
+            for left in ls:
+                if ech.is_full():
+                    break
+                for v in by_deg.get((q - dq - qu, l - dl - lu), []):
+                    prod = reference_mul(left, E(n, m, {v: 1}))
+                    if prod.is_zero():
+                        continue
+                    row = {index[k]: c for k, c in prod.terms.items()}
+                    if ech.add(row) and ech.is_full():
+                        break
+        if ech.rank:
+            table[(q, l, par)] = ech.rank
+    return table
+
+
+def test_mul_matches_reference_product():
+    rng = random.Random(7)
+    seen_multi_perm = seen_odd = 0
+    for n in (1, 2, 3, 4):
+        for m in (-1, 0, 1):
+            zero = E.zero(n, m)
+            for _ in range(10 if n < 4 else 4):
+                u = random_element(n, m, rng, nterms=4)
+                v = random_element(n, m, rng, nterms=4)
+                seen_multi_perm += len({k[2] for k in u.terms}) > 1
+                seen_odd += any(k[1] for k in u.terms)
+                assert u * v == reference_mul(u, v), (n, m, u, v)
+                assert u * zero == zero and zero * v == zero
+            odd = E.w(n, m, n) * random_element(n, m, rng, nterms=2)
+            assert odd * odd == reference_mul(odd, odd)
+            if n >= 2:
+                # two permutations over the same ring part, scaled apart
+                g = E.x(n, m, 1) + E.w(n, m, n)
+                v = g + (g * E.T(n, m, 1)).scale(2)
+                assert u * v == reference_mul(u, v)
+    assert seen_multi_perm and seen_odd
+
+
+def _homogeneous_multi_term(n, m, rng):
+    """A random homogeneous element with at least two terms (n >= 2)."""
+    while True:
+        u = random_element(n, m, rng, nterms=6, maxexp=2)
+        for part in u.bidegree_components().values():
+            if len(part.terms) > 1:
+                return part
+
+
+@pytest.mark.parametrize("n,m,qcut", [(1, -1, 6), (2, -1, 8), (2, 0, 2), (3, 0, -8)])
+def test_spanning_table_matches_reference(n, m, qcut):
+    middles = [E.x(n, m, 1, 2), idempotent_e(n, m)]
+    if n >= 2:
+        rng = random.Random(n)
+        middles += [_homogeneous_multi_term(n, m, rng) for _ in range(3)]
+    for middle in middles:
+        assert spanning_rank_table(n, m, middle, qcut) == \
+            reference_spanning_rank_table(n, m, middle, qcut), middle
+
+
+def test_cyclotomic_lambda_zero_part_is_nilhecke_closed_form():
+    """The lambda = 0 part of cyclotomic_grdim(n, N, qcut) is the graded
+    dimension of the cyclotomic nilHecke algebra NH_n / (x_1^N).
+
+    lambda-degrees add under multiplication and are >= 0, so a product
+    u . x_1^N . v of basis monomials has lambda = 0 only if u and v both have
+    lambda = 0, that is omask = 0; such u, v lie in NH_n, and so does their
+    product (the twist rule creates no odd generators from even ones).  So
+    the lambda = 0 parts of A_n and of the ideal (x_1^N) are NH_n and its
+    ideal (x_1^N), whose quotient has the closed form
+    gradedseries.nilhecke_cyclotomic_grdim.
+    """
+    # n = 3 stops at qcut -10: qcut 0 takes over a minute for N <= 5.
+    cases = [(n, qcut) for n in (1, 2) for qcut in (-10, -4, 0, 6, 12)] + [(3, -10)]
+    for n, qcut in cases:
+        for N in range(0, 6):
+            got = {q: d for (q, lam, _), d in cyclotomic_grdim(n, N, qcut).items()
+                   if lam == 0}
+            assert got == nilhecke_cyclotomic_grdim(n, N, qcut), (n, N, qcut)
+
+
+def _hypothesis_elements():
+    from hypothesis import strategies as st
+
+    @st.composite
+    def triples(draw):
+        n = draw(st.integers(1, 3))
+        perms = list(sg.all_permutations(n))
+        keys = st.tuples(st.tuples(*[st.integers(0, 2)] * n),
+                         st.integers(0, (1 << n) - 1), st.sampled_from(perms))
+
+        def element():
+            return E(n, -1, draw(st.dictionaries(keys, st.integers(-3, 3), max_size=3)))
+        return element(), element(), element()
+    return triples()
+
+
+def test_mul_associative_hypothesis():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(_hypothesis_elements())
+    def check(triple):
+        u, v, w = triple
+        assert (u * v) * w == u * (v * w)
+
+    check()
+
+
+def test_act_is_a_module_action_hypothesis():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(_hypothesis_elements())
+    def check(triple):
+        u, v, w = triple
+        n, m = u.n, u.m
+        f = SuperPolynomial(n, m, {(x, o): c for (x, o, _), c in w.terms.items()})
+        assert act(u * v, f) == act(u, act(v, f))
+
+    check()
