@@ -10,7 +10,6 @@ fixed --seed); text mode prints human-readable monomials.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import random
@@ -248,24 +247,6 @@ def _worker_count(jobs: int, nsuites: int) -> int:
     return max(1, min(jobs, nsuites, os.cpu_count() or 1))
 
 
-# Command name -> handler.  Each entry looks its handler up by name when it
-# runs, so the parser can be built once per process (build_parser is cached)
-# while a replaced cmd_* function still takes effect.
-COMMANDS = {
-    "nf": lambda args: cmd_nf(args),
-    "mul": lambda args: cmd_mul(args),
-    "act": lambda args: cmd_act(args),
-    "schur": lambda args: cmd_schur(args),
-    "grdim": lambda args: cmd_grdim(args),
-    "ses-check": lambda args: cmd_ses_check(args),
-    "shapovalov": lambda args: cmd_shapovalov(args),
-    "homology": lambda args: cmd_homology(args),
-    "cyclotomic": lambda args: cmd_cyclotomic(args),
-    "verify": lambda args: cmd_verify(args),
-}
-
-
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--n", type=int, default=2, help="number of strands")
@@ -292,39 +273,49 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("nf", parents=[shared], help="normal form of an expression",
                        epilog=dash_note)
     p.add_argument("expr")
+    p.set_defaults(func=cmd_nf)
 
     p = sub.add_parser("mul", parents=[shared], help="product of two expressions",
                        epilog=dash_note)
     p.add_argument("left")
     p.add_argument("right")
+    p.set_defaults(func=cmd_mul)
 
     p = sub.add_parser("act", parents=[shared],
                        help="act by an operator on a ring element",
                        epilog=dash_note)
     p.add_argument("expr")
     p.add_argument("ring_expr")
+    p.set_defaults(func=cmd_act)
 
     p = sub.add_parser("schur", parents=[shared],
                        help="Schur superpolynomial from alpha, beta")
     p.add_argument("alpha", help="JSON array, weakly decreasing")
     p.add_argument("beta", help="JSON array, strictly increasing")
+    p.set_defaults(func=cmd_schur)
 
-    sub.add_parser("grdim", parents=[shared], help="closed-form graded rank")
+    p = sub.add_parser("grdim", parents=[shared], help="closed-form graded rank")
+    p.set_defaults(func=cmd_grdim)
 
-    sub.add_parser("ses-check", parents=[shared],
-                   help="graded-dimension identity of the SES (exact; ignores --qcut)")
+    p = sub.add_parser("ses-check", parents=[shared],
+                       help="graded-dimension identity of the SES (exact; ignores --qcut)")
+    p.set_defaults(func=cmd_ses_check)
 
-    sub.add_parser("shapovalov", parents=[shared],
-                   help="Verma pairing vs graded superdimension")
+    p = sub.add_parser("shapovalov", parents=[shared],
+                       help="Verma pairing vs graded superdimension")
+    p.set_defaults(func=cmd_shapovalov)
 
-    sub.add_parser("homology", parents=[shared], help="dg-homology table")
+    p = sub.add_parser("homology", parents=[shared], help="dg-homology table")
+    p.set_defaults(func=cmd_homology)
 
-    sub.add_parser("cyclotomic", parents=[shared],
-                   help="graded dimension of the quotient by x_1^N")
+    p = sub.add_parser("cyclotomic", parents=[shared],
+                       help="graded dimension of the quotient by x_1^N")
+    p.set_defaults(func=cmd_cyclotomic)
 
     p = sub.add_parser("verify", parents=[shared],
                        help="run a verification suite (ses ignores --qcut)")
     p.add_argument("suite", choices=("relations", "basis", "schur", "dg", "ses", "all"))
+    p.set_defaults(func=cmd_verify)
     return parser
 
 
@@ -344,7 +335,7 @@ def main(argv=None) -> int:
         return 2 if exc.code else 0
     try:
         _check_params(args)
-        return COMMANDS[args.command](args)
+        return args.func(args)
     except (ParseError, UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

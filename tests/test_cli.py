@@ -320,31 +320,3 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     monkeypatch.setitem(cli.__dict__, "suite_relations",
                         lambda n, m, qcut, seed: ["synthetic failure"])
     assert run_cli(capsys, "verify", "relations", "--n", "2")[0] == 1
-
-
-def test_parser_is_built_once_and_dispatches_at_call_time(capsys, monkeypatch):
-    import argparse
-    import supernilhecke.cli as cli
-    built = []
-    init = argparse.ArgumentParser.__init__
-
-    def counting_init(self, *args, **kwargs):
-        built.append(kwargs.get("prog"))
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-    cli.build_parser.cache_clear()
-    assert run_cli(capsys, "grdim", "--n", "1", "--qcut", "2")[0] == 0
-    first = len(built)
-    assert first > 0
-    assert run_cli(capsys, "nf", "--n", "2", "T1*x1")[0] == 0
-    # usage errors after a successful call still exit 2
-    assert run_cli_err(capsys, "nf")[0] == 2
-    assert run_cli_err(capsys, "grdim", "--n", "-1")[0] == 2
-    assert run_cli_err(capsys, "no-such-command")[0] == 2
-    # a replaced handler is the one that runs
-    seen = []
-    monkeypatch.setattr(cli, "cmd_nf", lambda args: seen.append(args.expr) or 0)
-    assert run_cli(capsys, "nf", "--n", "2", "x1") == (0, "")
-    assert seen == ["x1"]
-    assert len(built) == first
