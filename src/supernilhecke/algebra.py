@@ -11,6 +11,7 @@ zero otherwise.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Collection
 from functools import lru_cache
 
 from . import symgroup
@@ -416,62 +417,59 @@ def _min_qdeg(n: int, m: int) -> int:
 
 
 def spanning_rank_table(n: int, m: int, middle: AlgebraElement,
-                        qcut: int) -> dict[tuple[int, int, int], int]:
-    """Per-(q, lambda, parity) rank of the two-sided span { u . middle . v }
-    over basis monomials u, v, for q <= qcut.
+                        blocks: Collection[tuple[int, int, int]]
+                        ) -> dict[tuple[int, int, int], int]:
+    """Per-(q, lambda, parity) rank of the two-sided span { u . z . v } over
+    basis monomials u, v, for the middle z and each key of blocks.
 
-    Both products go through _times.  The lefts u . middle share one cache
-    per call, at most one entry per (perm, group of the middle).  The rows
-    left . v use a second cache, emptied at every (target degree, left degree)
-    block: within a block every left meets the same monomials v, so there the
-    pushes of T-words through ring parts repeat.  A cache kept for the whole
-    call ran the cyclotomic benchmark about 8% faster, but raised the largest
-    job's traced allocation peak from 7.0 MB to 9.6 MB (8.0 MB with no cache)
-    and the benchmark's peak RSS from 29.6 MB to 32.8 MB (30.5 MB with no
-    cache), beyond its 5% bound.  Rows are visited in a fixed order, so each
-    rank and the early exit do not depend on the caches.
+    Rows are (u . z) . v, both products through _times with one push cache
+    per call.  When every term of z has the identity permutation, z is a
+    homogeneous ring element, and super-commutativity gives
+    z . x^a w^S = +-x^a w^S . z, so u . z . (x^a w^S T_p) =
+    +-(u x^a w^S) . z . T_p, where u x^a w^S is a sum of basis monomials of
+    one degree: then v = T_p for p in S_n already spans the ideal.  Otherwise
+    (as for idempotent_e) v ranges over all basis monomials.  The lefts
+    u . z of a degree are formed the first time a block needs them.  Rows
+    are visited in a fixed order, so each rank and the early exit do not
+    depend on the cache.
     """
     from .linalg import IntEchelon
     if middle.bidegree() is None:
         raise ValueError("middle element must be homogeneous and nonzero")
+    if not blocks:
+        return {}
     dq, dl = middle.bidegree()
-    by_deg: dict[tuple[int, int], list[TermKey]] = {}
-    for key in basis(n, m, qcut - dq - _min_qdeg(n, m)):
-        by_deg.setdefault(middle.monomial_bidegree(key), []).append(key)
-    mid_groups, mid_cache = middle._group_by_perm(), {}
-    lefts: dict[tuple[int, int], list[AlgebraElement]] = {}
-    for deg, us in by_deg.items():
-        ls = [AlgebraElement(n, m, _times({u[2]: SuperPolynomial(n, m, {u[:2]: 1})},
-                                          mid_groups, mid_cache)) for u in us]
-        lefts[deg] = [l for l in ls if not l.is_zero()]
-    dims = basis_counts(n, m, qcut)
-    table: dict[tuple[int, int, int], int] = {}
-    for q, l, par in dims:
+    mid_groups, push_cache = middle._group_by_perm(), {}
+    rights: dict[tuple[int, int], list[dict[Perm, SuperPolynomial]]] = {}
+    if set(mid_groups) == {symgroup.identity(n)}:
+        vs = [((0,) * n, 0, p) for p in symgroup.all_permutations(n)]
+    else:
+        vs = basis(n, m, max(q for q, _, _ in blocks) - dq - _min_qdeg(n, m))
+    for v in vs:
+        rights.setdefault(middle.monomial_bidegree(v), []).append(
+            {v[2]: SuperPolynomial(n, m, {v[:2]: 1})})
+    lefts: dict[tuple[int, int], list[dict[Perm, SuperPolynomial]]] = {}
+
+    def rank_at(q: int, l: int) -> int:
         monos = basis_at_bidegree(n, m, q, l)
         index = {key: i for i, key in enumerate(monos)}
         ech = IntEchelon(len(monos))
-        for (qu, lu), ls in lefts.items():
-            if ech.is_full():
-                break
-            qv, lv = q - dq - qu, l - dl - lu
-            if (qv, lv) not in by_deg:
-                continue
-            rights = [{v[2]: SuperPolynomial(n, m, {v[:2]: 1})} for v in by_deg[(qv, lv)]]
-            push_cache: dict = {}
-            for left in ls:
-                if ech.is_full():
-                    break
-                groups = left._group_by_perm()
-                for right in rights:
-                    prod = _times(groups, right, push_cache)
-                    if not prod:
-                        continue
-                    row = {index[key]: c for key, c in prod.items()}
-                    if ech.add(row) and ech.is_full():
-                        break
-        if ech.rank:
-            table[(q, l, par)] = ech.rank
-    return table
+        for (qv, lv), rs in rights.items():
+            deg = (q - dq - qv, l - dl - lv)
+            if deg not in lefts:
+                us = (_times({u[2]: SuperPolynomial(n, m, {u[:2]: 1})}, mid_groups, push_cache)
+                      for u in basis_at_bidegree(n, m, *deg))
+                lefts[deg] = [AlgebraElement(n, m, t)._group_by_perm() for t in us if t]
+            for left in lefts[deg]:
+                for right in rs:
+                    prod = _times(left, right, push_cache)
+                    if prod and ech.add({index[key]: c for key, c in prod.items()}) \
+                            and ech.is_full():
+                        return ech.rank
+        return ech.rank
+
+    ranks = {key: rank_at(key[0], key[1]) for key in blocks}
+    return {key: r for key, r in ranks.items() if r}
 
 
 def basis_at_bidegree(n: int, m: int, q: int, lam: int) -> list[TermKey]:
@@ -487,11 +485,6 @@ def cyclotomic_grdim(n: int, N: int, qcut: int) -> dict[tuple[int, int, int], in
     if n == 0:
         return {(0, 0, 0): 1} if qcut >= 0 else {}
     dims = basis_counts(n, m, qcut)
-    ideal = spanning_rank_table(
-        n, m, AlgebraElement.x(n, m, 1, N), qcut)
-    out = {}
-    for key, d in dims.items():
-        r = d - ideal.get(key, 0)
-        if r:
-            out[key] = r
-    return out
+    ideal = spanning_rank_table(n, m, AlgebraElement.x(n, m, 1, N), dims)
+    quotient = {key: d - ideal.get(key, 0) for key, d in dims.items()}
+    return {key: d for key, d in quotient.items() if d}

@@ -14,11 +14,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import symgroup
-from .algebra import AlgebraElement, basis, TermKey
+from .algebra import AlgebraElement, basis, basis_counts, spanning_rank_table
 from .linalg import rank
 from .superring import (
-    SuperPolynomial, accumulate, complete_h, mask_to_indices, monomials_at,
-    odd_degree,
+    Monomial, SuperPolynomial, accumulate, complete_h, mask_to_indices,
+    monomials_at, odd_degree,
 )
 from .symgroup import perms_by_length
 
@@ -88,10 +88,18 @@ def verify_d_squared(p: DgParams, qcut: int, samples: int = 50, seed: int = 0,
     graded Leibniz rule against the product on all generator pairs and on
     seeded random basis pairs (this is where well-definedness on the algebra
     relations is decided).  Custom generator images may be injected; the
-    default is d_N."""
+    default is d_N.
+
+    d kills every T_i, so the Leibniz rule gives d(f T_p) = d(f) T_p and
+    d(d(f T_p)) = d(d(f)) T_p for a ring part f: the d^2 sweep runs once per
+    ring part of a basis key, with T_p = 1.  The sampled pairs check
+    d(f T_p) = d(f) T_p for every p explicitly.
+    """
     import random
     if images is None:
         images = _generator_images(p)
+    E = AlgebraElement
+    e = symgroup.identity(p.n)
 
     def d(u: AlgebraElement) -> AlgebraElement:
         return derivation_extend(p.n, p.m, images, u)
@@ -103,11 +111,14 @@ def verify_d_squared(p: DgParams, qcut: int, samples: int = 50, seed: int = 0,
         rhs = d(u) * v + (u * d(v)).scale(-1 if h & 1 else 1)
         return d(u * v) == rhs
 
-    for key in basis(p.n, p.m, qcut):
-        b = AlgebraElement(p.n, p.m, {key: 1})
-        if not d(d(b)).is_zero():
+    def equivariant(ring: Monomial) -> bool:
+        df = d(E(p.n, p.m, {(*ring, e): 1}))
+        return all(d(E(p.n, p.m, {(*ring, s): 1})) == df * E.T_perm(p.n, p.m, s)
+                   for s in symgroup.all_permutations(p.n) if s != e)
+
+    for ring in dict.fromkeys(key[:2] for key in basis(p.n, p.m, qcut)):
+        if not d(d(E(p.n, p.m, {(*ring, e): 1}))).is_zero():
             return False
-    E = AlgebraElement
     gens = ([E.x(p.n, p.m, i) for i in range(1, p.n + 1)]
             + [E.w(p.n, p.m, i) for i in range(1, p.n + 1)]
             + [E.T(p.n, p.m, i) for i in range(1, p.n)])
@@ -120,7 +131,8 @@ def verify_d_squared(p: DgParams, qcut: int, samples: int = 50, seed: int = 0,
     for _ in range(samples if pool else 0):
         k1 = pool[rng.randrange(len(pool))]
         k2 = pool[rng.randrange(len(pool))]
-        if not leibniz_ok(E(p.n, p.m, {k1: 1}), E(p.n, p.m, {k2: 1})):
+        if not (equivariant(k1[:2])
+                and leibniz_ok(E(p.n, p.m, {k1: 1}), E(p.n, p.m, {k2: 1}))):
             return False
     return True
 
@@ -205,64 +217,19 @@ def _min_poly_q(n: int, m: int, h: int) -> int:
 def nilhecke_cyclotomic_oracle(n: int, M: int, qcut: int) -> dict[int, int]:
     """Graded dimension of the nilHecke algebra modulo the two-sided ideal
     generated by the M-th power of the first even generator, per q-degree up
-    to qcut; computed by degreewise spanning and exact rank, independent of
-    the dg machinery."""
+    to qcut; independent of the dg machinery.
+
+    These are the lambda = 0 blocks of algebra.spanning_rank_table for the
+    middle x_1^M: lambda-degrees add under multiplication and are >= 0, so
+    the lambda = 0 parts of A_n and of its ideal (x_1^M) are NH_n and the
+    nilHecke ideal (x_1^M).
+    """
     if M < 0:
         raise ValueError("cyclotomic exponent must be nonnegative")
     if n == 0:
         return {0: 1} if qcut >= 0 else {}
-    from .algebra import _compose_adding, push_T_through
     m = -1
-    minq = -n * (n - 1)
-    # nilHecke basis monomials: omask = 0, enumerated wide enough to cover
-    # every factor degree: deg u + 2M + deg v = q with deg v >= minq.
-    pool = [key for key in basis(n, m, max(qcut, qcut - 2 * M - minq))
-            if key[1] == 0]
-    by_deg: dict[int, list[TermKey]] = {}
-    for key in pool:
-        q = 2 * sum(key[0]) - 2 * symgroup.length(key[2])
-        by_deg.setdefault(q, []).append(key)
-    # T_p . x_1^M x^b expansions, cached per (p, b); the x^a prefix of the
-    # left factor and the T-part of the right factor combine cheaply.
-    push_cache: dict[tuple, dict] = {}
-
-    def pushed(perm, bexp):
-        kk = (perm, bexp)
-        if kk not in push_cache:
-            f = SuperPolynomial.monomial(n, m, bexp, 0)
-            push_cache[kk] = push_T_through(symgroup.reduced_word(perm), f)
-        return push_cache[kk]
-
-    from .linalg import IntEchelon
-    dims: dict[int, int] = {}
-    for q in range(minq, qcut + 1):
-        monos = list(by_deg.get(q, []))
-        if not monos:
-            continue
-        col_index = {key: i for i, key in enumerate(monos)}
-        ech = IntEchelon(len(monos))
-        for qu, ukeys in by_deg.items():
-            if ech.is_full():
-                break
-            qv = q - 2 * M - qu
-            if qv not in by_deg:
-                continue
-            for (aexp, _, theta) in ukeys:
-                if ech.is_full():
-                    break
-                for (bexp, _, sigma) in by_deg[qv]:
-                    mid = list(bexp)
-                    mid[0] += M
-                    row: dict[int, int] = {}
-                    for rho, h in pushed(theta, tuple(mid)).items():
-                        prod_perm = _compose_adding(rho, sigma)
-                        if prod_perm is None:
-                            continue
-                        accumulate(row, (
-                            (col_index[(tuple(x + y for x, y in zip(aexp, xe)), om, prod_perm)], c)
-                            for (xe, om), c in h.terms.items()))
-                    if row and ech.add(row) and ech.is_full():
-                        break
-        if len(monos) - ech.rank:
-            dims[q] = len(monos) - ech.rank
-    return dims
+    blocks = {key: d for key, d in basis_counts(n, m, qcut).items() if key[1] == 0}
+    ideal = spanning_rank_table(n, m, AlgebraElement.x(n, m, 1, M), blocks)
+    quotient = {key[0]: d - ideal.get(key, 0) for key, d in sorted(blocks.items())}
+    return {q: d for q, d in quotient.items() if d}

@@ -256,7 +256,7 @@ def test_criterion_9_idempotent():
         assert e * e == e, n
     for n in (1, 2):
         m = -1
-        table = spanning_rank_table(n, m, idempotent_e(n, m), 8)
+        table = spanning_rank_table(n, m, idempotent_e(n, m), basis_counts(n, m, 8))
         assert table == basis_counts(n, m, 8), n
     _report(9, "e_n idempotent (n <= 4) and two-sided span has full rank "
                "(n <= 2, q <= 8)", started)

@@ -181,3 +181,6 @@ def test_cyclotomic_closed_form_matches_oracle():
         for L in range(0, 6):
             want = nilhecke_cyclotomic_oracle(n, L, 12)
             assert nilhecke_cyclotomic_grdim(n, L, 12) == want, (n, L)
+    for n, L, qcut in ((4, 3, 2), (4, 4, -4)):
+        want = nilhecke_cyclotomic_oracle(n, L, qcut)
+        assert nilhecke_cyclotomic_grdim(n, L, qcut) == want, (n, L, qcut)
