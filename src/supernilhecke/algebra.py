@@ -126,12 +126,14 @@ def _times(left: dict[Perm, SuperPolynomial], right: dict[Perm, SuperPolynomial]
     """Terms of the product of two elements given as groups perm -> ring part:
     f T_theta . g T_sigma = sum_rho f h_rho T_rho T_sigma, where T_theta . g =
     sum_rho h_rho T_rho comes from push_T_through, looked up in push_cache
-    under (theta, terms of g) first."""
+    under (theta, terms of g) first.  A unit g needs no push or product:
+    T_theta . 1 = T_theta, so f is added under theta.sigma as it is."""
     out: dict[TermKey, int] = {}
     for sigma, g in right.items():
         gkey = tuple(g.terms.items())
+        unit = gkey == ((((0,) * g.n, 0), 1),)
         for theta, f in left.items():
-            pushed = push_cache.get((theta, gkey))
+            pushed = {theta: None} if unit else push_cache.get((theta, gkey))
             if pushed is None:
                 pushed = push_cache[theta, gkey] = push_T_through(
                     symgroup.reduced_word(theta), g)
@@ -141,7 +143,7 @@ def _times(left: dict[Perm, SuperPolynomial], right: dict[Perm, SuperPolynomial]
                     continue
                 # Inline rather than accumulate(): a generator per product
                 # took about 8% more CPU time on the cyclotomic workload.
-                for key, c in (f * h).terms.items():
+                for key, c in (f if h is None else f * h).terms.items():
                     tk = (key[0], key[1], prod_perm)
                     v = out.get(tk, 0) + c
                     if v:
@@ -253,18 +255,22 @@ def _xexp_iter(n: int, total_max: int):
         yield from exponent_vectors(n, s)
 
 
-def basis(n: int, m: int, qcut: int):
-    """All basis monomials (xexp, omask, perm) with q-degree <= qcut."""
+def ring_monomials(n: int, m: int, qmax: int) -> list[Monomial]:
+    """All ring monomials (xexp, omask) with q-degree <= qmax, odd masks
+    ascending, then exponent sums ascending."""
     out = []
-    for perm in symgroup.all_permutations(n):
-        ldeg = 2 * symgroup.length(perm)
-        for omask in range(1 << n):
-            budget = qcut - odd_degree(m, omask) + ldeg
-            if budget < 0:
-                continue
-            for xexp in _xexp_iter(n, budget // 2):
-                out.append((xexp, omask, perm))
+    for omask in range(1 << n):
+        budget = qmax - odd_degree(m, omask)
+        if budget >= 0:
+            out.extend((xexp, omask) for xexp in _xexp_iter(n, budget // 2))
     return out
+
+
+def basis(n: int, m: int, qcut: int):
+    """All basis monomials (xexp, omask, perm) with q-degree <= qcut: the
+    ring monomials of q-degree <= qcut + 2 l(perm) for each perm."""
+    return [(xexp, omask, perm) for perm in symgroup.all_permutations(n)
+            for xexp, omask in ring_monomials(n, m, qcut + 2 * symgroup.length(perm))]
 
 
 def basis_counts(n: int, m: int, qcut: int) -> dict[tuple[int, int, int], int]:

@@ -12,13 +12,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add
 
 from . import symgroup
-from .algebra import AlgebraElement, basis, basis_counts, spanning_rank_table
+from .algebra import (
+    AlgebraElement, basis, basis_counts, ring_monomials, spanning_rank_table,
+)
 from .linalg import rank
 from .superring import (
-    Monomial, SuperPolynomial, accumulate, complete_h, mask_to_indices,
-    monomials_at, odd_degree,
+    Monomial, SuperPolynomial, _merge_masks, accumulate, complete_h,
+    mask_to_indices, monomials_at, odd_degree,
 )
 from .symgroup import perms_by_length
 
@@ -51,23 +54,35 @@ def _generator_images(p: DgParams) -> dict[int, SuperPolynomial]:
     return {i: generator_image(p, i) for i in range(1, p.n + 1)}
 
 
+def _d_ring(images: dict[int, SuperPolynomial], xexp, omask: int) -> dict[Monomial, int]:
+    """The terms of d(x^xexp w^omask), read straight from the generator
+    images: the j-th odd factor w_i contributes
+    (-1)^{j-1} x^xexp w^{omask minus i} d(w_i)."""
+    out: dict[Monomial, int] = {}
+    for j, i in enumerate(mask_to_indices(omask)):
+        rest = omask & ~(1 << (i - 1))
+        sign = -1 if j & 1 else 1
+        for (xe, om), c in images[i].terms.items():
+            koszul, mask = _merge_masks(rest, om)
+            if koszul:
+                key = (tuple(map(add, xexp, xe)), mask)
+                v = out.get(key, 0) + sign * koszul * c
+                if v:
+                    out[key] = v
+                else:
+                    out.pop(key, None)
+    return out
+
+
 def derivation_extend(n: int, m: int, images: dict[int, SuperPolynomial],
                       u: AlgebraElement) -> AlgebraElement:
     """Extend a map on the odd generators (even, central images) to an odd
-    derivation killing x's and T's: on x^k w_{i_1}..w_{i_h} T_p the j-th odd
-    factor contributes a sign (-1)^{j-1}."""
-    def pieces():
-        for (xexp, omask, perm), c in u.terms.items():
-            for j, i in enumerate(mask_to_indices(omask)):
-                img = images[i]
-                if img.is_zero():
-                    continue
-                sign = -1 if j & 1 else 1
-                rest_mask = omask & ~(1 << (i - 1))
-                mono = SuperPolynomial.monomial(n, m, xexp, rest_mask, sign * c)
-                for (xe, om), cc in (mono * img).terms.items():
-                    yield (xe, om, perm), cc
-    return AlgebraElement(n, m, accumulate({}, pieces()))
+    derivation killing x's and T's: d(f T_p) = d(f) T_p, with d(f) from
+    _d_ring on each ring monomial f."""
+    return AlgebraElement(n, m, accumulate({}, (
+        ((xe, om, perm), c * cc)
+        for (xexp, omask, perm), c in u.terms.items()
+        for (xe, om), cc in _d_ring(images, xexp, omask).items())))
 
 
 def apply_dN(p: DgParams, u: AlgebraElement) -> AlgebraElement:
@@ -91,9 +106,11 @@ def verify_d_squared(p: DgParams, qcut: int, samples: int = 50, seed: int = 0,
     default is d_N.
 
     d kills every T_i, so the Leibniz rule gives d(f T_p) = d(f) T_p and
-    d(d(f T_p)) = d(d(f)) T_p for a ring part f: the d^2 sweep runs once per
-    ring part of a basis key, with T_p = 1.  The sampled pairs check
-    d(f T_p) = d(f) T_p for every p explicitly.
+    d(d(f T_p)) = d(d(f)) T_p for a ring part f: the d^2 sweep applies
+    _d_ring twice to every ring monomial of q-degree <= qcut + n(n-1).
+    That range is exactly the set of ring parts of basis(n, m, qcut), whose
+    perm p has the ring budget qcut + 2 l(p) <= qcut + n(n-1).  The sampled
+    pairs check d(f T_p) = d(f) T_p for every p explicitly.
     """
     import random
     if images is None:
@@ -116,8 +133,11 @@ def verify_d_squared(p: DgParams, qcut: int, samples: int = 50, seed: int = 0,
         return all(d(E(p.n, p.m, {(*ring, s): 1})) == df * E.T_perm(p.n, p.m, s)
                    for s in symgroup.all_permutations(p.n) if s != e)
 
-    for ring in dict.fromkeys(key[:2] for key in basis(p.n, p.m, qcut)):
-        if not d(d(E(p.n, p.m, {(*ring, e): 1}))).is_zero():
+    for xexp, omask in ring_monomials(p.n, p.m, qcut + p.n * (p.n - 1)):
+        dd: dict[Monomial, int] = {}
+        for (xe, om), c in _d_ring(images, xexp, omask).items():
+            accumulate(dd, ((key, c * cc) for key, cc in _d_ring(images, xe, om).items()))
+        if dd:
             return False
     gens = ([E.x(p.n, p.m, i) for i in range(1, p.n + 1)]
             + [E.w(p.n, p.m, i) for i in range(1, p.n + 1)]
@@ -148,12 +168,10 @@ def _poly_d_matrix(p: DgParams, domain, codomain_index):
     """Matrix of d_N from the given monomials to the indexed target monomials."""
     images = _generator_images(p)
     rows = []
-    for (xexp, omask) in domain:
-        mono = AlgebraElement.monomial(p.n, p.m, xexp, omask, symgroup.identity(p.n))
-        img = derivation_extend(p.n, p.m, images, mono)
+    for xexp, omask in domain:
         vec = [0] * len(codomain_index)
-        for (xe, om, _), c in img.terms.items():
-            vec[codomain_index[(xe, om)]] = c
+        for key, c in _d_ring(images, xexp, omask).items():
+            vec[codomain_index[key]] = c
         rows.append(vec)
     return rows
 

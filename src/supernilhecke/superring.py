@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from operator import add, sub
 
 from . import symgroup
 from .symgroup import Perm, Word
@@ -39,20 +40,15 @@ def _merge_masks(a: int, b: int) -> tuple[int, int]:
 
 
 def exponent_vectors(n: int, total: int):
-    """All exponent tuples of length n with the given sum."""
+    """All exponent tuples of length n with the given sum, in lexicographic
+    order: stars and bars, the parts being the gaps between the
+    nondecreasing cut points 0 <= c_1 <= .. <= c_{n-1} <= total."""
     if n == 0:
         if total == 0:
             yield ()
         return
-
-    def gen(remaining, slots):
-        if slots == 1:
-            yield (remaining,)
-            return
-        for first in range(remaining + 1):
-            for rest in gen(remaining - first, slots - 1):
-                yield (first,) + rest
-    yield from gen(total, n)
+    for cuts in itertools.combinations_with_replacement(range(total + 1), n - 1):
+        yield tuple(map(sub, cuts + (total,), (0,) + cuts))
 
 
 def mask_to_indices(mask: int) -> tuple[int, ...]:
@@ -239,7 +235,7 @@ class SuperPolynomial(LinearCombination):
                     continue
                 # Inline rather than accumulate(): the hottest loop, and a
                 # generator feeding accumulate() measured about 5% slower.
-                key = (tuple(a + b for a, b in zip(xa, xb)), mask)
+                key = (tuple(map(add, xa, xb)), mask)
                 v = terms.get(key, 0) + sign * ca * cb
                 if v:
                     terms[key] = v

@@ -2,12 +2,16 @@ import random
 
 import pytest
 
+from supernilhecke import dgstructure
 from supernilhecke.algebra import AlgebraElement, basis, random_element
 from supernilhecke.dgstructure import (
-    DgParams, apply_dN, generator_image, homological_degree, homology_ranks,
-    nilhecke_cyclotomic_oracle, verify_d_squared,
+    DgParams, apply_dN, derivation_extend, generator_image, homological_degree,
+    homology_ranks, nilhecke_cyclotomic_oracle, verify_d_squared,
 )
-from supernilhecke.superring import SuperPolynomial, labeled_omega
+from supernilhecke.superring import (
+    SuperPolynomial, accumulate, labeled_omega, mask_to_indices,
+)
+from supernilhecke.symgroup import longest_element
 
 E = AlgebraElement
 
@@ -213,3 +217,67 @@ def test_apply_dN_uses_fresh_images():
             assert apply_dN(p, u) == want
             assert apply_dN(DgParams(n, m, N), u) == want
         assert _generator_images(p) == fresh
+
+
+def _extend_by_ring_products(n, m, images, u):
+    """Reference: the extension through one ring product per odd factor,
+    (-1)^{j-1} (x^k w^{S minus i} * d(w_i)) T_p for the j-th factor w_i."""
+    def pieces():
+        for (xexp, omask, perm), c in u.terms.items():
+            for j, i in enumerate(mask_to_indices(omask)):
+                rest = omask & ~(1 << (i - 1))
+                mono = SuperPolynomial.monomial(n, m, xexp, rest, -c if j & 1 else c)
+                for (xe, om), cc in (mono * images[i]).terms.items():
+                    yield (xe, om, perm), cc
+    return E(n, m, accumulate({}, pieces()))
+
+
+def _odd_images(n, m, rng):
+    """Injected images with odd parts, so the Koszul sign of each merge
+    with the remaining odd factors is exercised."""
+    out = {}
+    for i in range(1, n + 1):
+        terms = {}
+        for _ in range(3):
+            key = (tuple(rng.randrange(3) for _ in range(n)), rng.randrange(1 << n))
+            terms[key] = rng.randrange(-3, 4)
+        out[i] = SuperPolynomial(n, m, terms)
+    return out
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4))
+@pytest.mark.parametrize("m", (-2, -1, 0, 1))
+def test_derivation_extend_matches_ring_products(n, m):
+    rng = random.Random(100 * n + m)
+    image_sets = [{i: generator_image(DgParams(n, m, N), i) for i in range(1, n + 1)}
+                  for N in range(-m, -m + 4) if N >= 0]
+    image_sets += [_odd_images(n, m, rng) for _ in range(3)]
+    if (n, m) == (2, -1):  # the corrupted images of test_corrupted_images_detected
+        p = DgParams(2, -1, 2)
+        image_sets.append({i: generator_image(p, i).scale(-1 if i == 2 else 1)
+                           for i in (1, 2)})
+    elements = [random_element(n, m, rng, nterms=6) for _ in range(8)]
+    top = longest_element(n)
+    elements += [E.monomial(n, m, (1,) * n, omask, top) for omask in range(1, 1 << n)]
+    for images in image_sets:
+        for u in elements:
+            assert derivation_extend(n, m, images, u) == \
+                _extend_by_ring_products(n, m, images, u), (n, m, u)
+
+
+@pytest.mark.parametrize("qcut", (-6, 0, 8))
+def test_d_squared_sweep_covers_the_basis_ring_parts(qcut, monkeypatch):
+    # the sweep visits each ring part of basis(n, m, qcut) once, and no other
+    swept, enumerate_ring = [], dgstructure.ring_monomials
+
+    def recording(*args):
+        swept.append(enumerate_ring(*args))
+        return swept[-1]
+    monkeypatch.setattr(dgstructure, "ring_monomials", recording)
+    for n in range(4):
+        for m in (-2, -1, 0, 1):
+            swept.clear()
+            assert verify_d_squared(DgParams(n, m, 2 - m), qcut, samples=0)
+            (monos,) = swept
+            assert len(monos) == len(set(monos))
+            assert set(monos) == {k[:2] for k in basis(n, m, qcut)}, (n, m, qcut)

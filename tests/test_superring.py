@@ -248,6 +248,23 @@ def test_labeled_omega_large_label():
         labeled_omega(2, -1, 3, 5)
 
 
+def _exponent_vectors_recursive(n, total):
+    """Reference: the first exponent ascending, the rest recursively."""
+    if n == 0:
+        return [()] if total == 0 else []
+    if n == 1:
+        return [(total,)]
+    return [(first,) + rest for first in range(total + 1)
+            for rest in _exponent_vectors_recursive(n - 1, total - first)]
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_exponent_vectors_match_recursive_reference(n):
+    for total in range(11):
+        assert list(exponent_vectors(n, total)) == \
+            _exponent_vectors_recursive(n, total), (n, total)
+
+
 def test_monomials_at_enumerates_one_bidegree():
     for n, m in ((0, -1), (1, 0), (3, -1), (4, 0)):
         by_degree = {}
