@@ -10,6 +10,7 @@ zero otherwise.
 """
 from __future__ import annotations
 
+import bisect
 import itertools
 from collections.abc import Collection
 from functools import lru_cache
@@ -84,11 +85,11 @@ class AlgebraElement(LinearCombination):
         groups: dict[Perm, dict[Monomial, int]] = {}
         for (xexp, omask, perm), c in self.terms.items():
             groups.setdefault(perm, {})[(xexp, omask)] = c
-        return {p: SuperPolynomial(self.n, self.m, t) for p, t in groups.items()}
+        return {p: SuperPolynomial._adopt(self.n, self.m, t) for p, t in groups.items()}
 
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check(other)
-        return AlgebraElement(self.n, self.m, _times(
+        return AlgebraElement._adopt(self.n, self.m, _times(
             self._group_by_perm(), other._group_by_perm(), {}))
 
     # ---- grading and display ------------------------------------------------
@@ -266,11 +267,38 @@ def ring_monomials(n: int, m: int, qmax: int) -> list[Monomial]:
     return out
 
 
+def _basis_blocks(n: int, m: int, qcut: int) -> list[tuple[Perm, list[Monomial]]]:
+    """basis(n, m, qcut) grouped by perm, in its order: perm p's block is the
+    ring monomials of q-degree <= qcut + 2 l(p), one list per distinct length."""
+    by_len: dict[int, list[Monomial]] = {}
+    blocks = []
+    for perm in symgroup.all_permutations(n):
+        plen = symgroup.length(perm)
+        if plen not in by_len:
+            by_len[plen] = ring_monomials(n, m, qcut + 2 * plen)
+        blocks.append((perm, by_len[plen]))
+    return blocks
+
+
 def basis(n: int, m: int, qcut: int):
     """All basis monomials (xexp, omask, perm) with q-degree <= qcut: the
     ring monomials of q-degree <= qcut + 2 l(perm) for each perm."""
-    return [(xexp, omask, perm) for perm in symgroup.all_permutations(n)
-            for xexp, omask in ring_monomials(n, m, qcut + 2 * symgroup.length(perm))]
+    return [(xexp, omask, perm) for perm, mons in _basis_blocks(n, m, qcut)
+            for xexp, omask in mons]
+
+
+def random_basis_keys(n: int, m: int, qcut: int, rng):
+    """Endless draws of basis(n, m, qcut) keys, each the one that
+    pool[rng.randrange(len(pool))] picks from the listed pool, without listing
+    it.  Yields nothing if the basis is empty."""
+    blocks = _basis_blocks(n, m, qcut)
+    ends = list(itertools.accumulate(len(mons) for _, mons in blocks))
+    while ends[-1]:
+        i = rng.randrange(ends[-1])
+        b = bisect.bisect_right(ends, i)
+        perm, mons = blocks[b]
+        xexp, omask = mons[i - (ends[b] - len(mons))]
+        yield xexp, omask, perm
 
 
 def basis_counts(n: int, m: int, qcut: int) -> dict[tuple[int, int, int], int]:

@@ -10,13 +10,15 @@ are finite in every homological degree.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import add
 
 from . import symgroup
 from .algebra import (
-    AlgebraElement, basis, basis_counts, ring_monomials, spanning_rank_table,
+    AlgebraElement, basis_counts, random_basis_keys, ring_monomials,
+    spanning_rank_table,
 )
 from .linalg import rank
 from .superring import (
@@ -79,7 +81,7 @@ def derivation_extend(n: int, m: int, images: dict[int, SuperPolynomial],
     """Extend a map on the odd generators (even, central images) to an odd
     derivation killing x's and T's: d(f T_p) = d(f) T_p, with d(f) from
     _d_ring on each ring monomial f."""
-    return AlgebraElement(n, m, accumulate({}, (
+    return AlgebraElement._adopt(n, m, accumulate({}, (
         ((xe, om, perm), c * cc)
         for (xexp, omask, perm), c in u.terms.items()
         for (xe, om), cc in _d_ring(images, xexp, omask).items())))
@@ -146,11 +148,8 @@ def verify_d_squared(p: DgParams, qcut: int, samples: int = 50, seed: int = 0,
         for v in gens:
             if not leibniz_ok(u, v):
                 return False
-    rng = random.Random(seed)
-    pool = basis(p.n, p.m, min(qcut, 6))
-    for _ in range(samples if pool else 0):
-        k1 = pool[rng.randrange(len(pool))]
-        k2 = pool[rng.randrange(len(pool))]
+    draws = random_basis_keys(p.n, p.m, min(qcut, 6), random.Random(seed))
+    for k1, k2 in itertools.islice(zip(draws, draws), samples):
         if not (equivariant(k1[:2])
                 and leibniz_ok(E(p.n, p.m, {k1: 1}), E(p.n, p.m, {k2: 1}))):
             return False

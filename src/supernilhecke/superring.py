@@ -124,6 +124,14 @@ class LinearCombination:
         self.terms = {k: c for k, c in (terms or {}).items() if c != 0}
 
     @classmethod
+    def _adopt(cls, n: int, m: int, terms: dict):
+        """An element that takes terms as its own, with no copy and no zero
+        filter: terms must be a fresh dict with no zero coefficient."""
+        self = cls.__new__(cls)
+        self.n, self.m, self.terms = n, m, terms
+        return self
+
+    @classmethod
     def zero(cls, n: int, m: int):
         return cls(n, m)
 
@@ -134,11 +142,11 @@ class LinearCombination:
 
     def __add__(self, other):
         self._check(other)
-        return type(self)(self.n, self.m,
-                          accumulate(dict(self.terms), other.terms.items()))
+        return type(self)._adopt(self.n, self.m,
+                                 accumulate(dict(self.terms), other.terms.items()))
 
     def __neg__(self):
-        return type(self)(self.n, self.m, {k: -c for k, c in self.terms.items()})
+        return type(self)._adopt(self.n, self.m, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -146,7 +154,7 @@ class LinearCombination:
     def scale(self, c: int):
         if c == 0:
             return type(self)(self.n, self.m)
-        return type(self)(self.n, self.m, {k: c * v for k, v in self.terms.items()})
+        return type(self)._adopt(self.n, self.m, {k: c * v for k, v in self.terms.items()})
 
     def __eq__(self, other) -> bool:
         return (type(other) is type(self) and self.n == other.n
@@ -241,7 +249,7 @@ class SuperPolynomial(LinearCombination):
                     terms[key] = v
                 else:
                     terms.pop(key, None)
-        return SuperPolynomial(self.n, self.m, terms)
+        return SuperPolynomial._adopt(self.n, self.m, terms)
 
     def parity(self) -> int | None:
         pars = {k[1].bit_count() & 1 for k in self.terms}

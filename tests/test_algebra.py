@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -5,11 +6,15 @@ import pytest
 from supernilhecke import symgroup as sg
 from supernilhecke.algebra import (
     AlgebraElement, act, basis, basis_at_bidegree, basis_counts,
-    cyclotomic_grdim, idempotent_e, phi, push_T_through, random_element,
-    spanning_rank_table, tau, theta, tight_basis, tight_monomial_skeletons,
-    verify_relations,
+    cyclotomic_grdim, idempotent_e, phi, push_T_through, random_basis_keys,
+    random_element, ring_monomials, spanning_rank_table, tau, theta,
+    tight_basis, tight_monomial_skeletons, verify_relations,
 )
+from supernilhecke.exprparse import evaluate_algebra, parse
 from supernilhecke.gradedseries import nilhecke_cyclotomic_grdim
+from supernilhecke.induction import (
+    decompose_left, recombine_left, recombine_ses, ses_split,
+)
 from supernilhecke.invariants import schubert
 from supernilhecke.linalg import IntEchelon, sparse_det
 from supernilhecke.superring import SuperPolynomial, apply_simple, demazure
@@ -174,6 +179,26 @@ def test_basis_counts_match_enumeration():
 def test_basis_n0():
     assert basis(0, -1, 4) == [((), 0, ())]
     assert basis_counts(0, -1, 4) == {(0, 0, 0): 1}
+
+
+def test_random_basis_keys_draw_as_from_the_listed_basis():
+    # verify_d_squared samples its Leibniz pairs this way; the same seed must
+    # pick the same keys as indexing the listed basis did.  The pool is listed
+    # here perm by perm, independently of basis() and its blocks.
+    for n in range(0, 4):
+        for m in (-2, -1, 1):
+            for qcut in (-8, -1, 0, 3, 6):
+                pool = [(xexp, omask, p) for p in sg.all_permutations(n)
+                        for xexp, omask in ring_monomials(n, m, qcut + 2 * sg.length(p))]
+                assert basis(n, m, qcut) == pool
+                for seed in (0, 1, 9001):
+                    want_rng, rng = random.Random(seed), random.Random(seed)
+                    want = [pool[want_rng.randrange(len(pool))]
+                            for _ in range(30)] if pool else []
+                    got = list(itertools.islice(
+                        random_basis_keys(n, m, qcut, rng), 30))
+                    assert got == want, (n, m, qcut, seed)
+                    assert rng.getstate() == want_rng.getstate()
 
 
 def test_verify_relations_passes():
@@ -391,12 +416,12 @@ def test_cyclotomic_lambda_zero_part_is_nilhecke_closed_form():
             assert got == nilhecke_cyclotomic_grdim(n, N, qcut), (n, N, qcut)
 
 
-def _hypothesis_elements():
+def _hypothesis_elements(min_n=1):
     from hypothesis import strategies as st
 
     @st.composite
     def triples(draw):
-        n = draw(st.integers(1, 3))
+        n = draw(st.integers(min_n, 3))
         perms = list(sg.all_permutations(n))
         keys = st.tuples(st.tuples(*[st.integers(0, 2)] * n),
                          st.integers(0, (1 << n) - 1), st.sampled_from(perms))
@@ -431,5 +456,48 @@ def test_act_is_a_module_action_hypothesis():
         n, m = u.n, u.m
         f = SuperPolynomial(n, m, {(x, o): c for (x, o, _), c in w.terms.items()})
         assert act(u * v, f) == act(u, act(v, f))
+
+    check()
+
+
+def test_tau_is_an_involutive_anti_automorphism_hypothesis():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(_hypothesis_elements())
+    def check(triple):
+        u, v, w = triple
+        assert tau(tau(u)) == u
+        assert tau(u + w) == tau(u) + tau(w)
+        assert tau(u * v) == tau(v) * tau(u)
+
+    check()
+
+
+def test_induction_round_trips_hypothesis():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(_hypothesis_elements(min_n=2))
+    def check(triple):
+        w = triple[0]
+        pairs, coker = ses_split(w)
+        assert recombine_ses(w.n, w.m, pairs, coker) == w
+        assert recombine_left(w.n, w.m, decompose_left(w)) == w
+
+    check()
+
+
+def test_parse_repr_round_trip_hypothesis():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(_hypothesis_elements())
+    def check(triple):
+        for u in triple:
+            assert evaluate_algebra(parse(repr(u)), u.n, u.m) == u, repr(u)
 
     check()

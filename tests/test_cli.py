@@ -320,3 +320,41 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     monkeypatch.setitem(cli.__dict__, "suite_relations",
                         lambda n, m, qcut, seed: ["synthetic failure"])
     assert run_cli(capsys, "verify", "relations", "--n", "2")[0] == 1
+
+
+def test_parser_is_built_once_per_process(capsys):
+    import supernilhecke.cli as cli
+    cli.build_parser.cache_clear()
+    assert run_cli(capsys, "grdim", "--n", "1", "--qcut", "2")[0] == 0
+    assert run_cli(capsys, "nf", "--n", "2", "T1*x1")[0] == 0
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+def test_replaced_handler_runs_after_the_parser_is_built(capsys, monkeypatch):
+    import supernilhecke.cli as cli
+    assert run_cli(capsys, "ses-check", "--n", "1")[0] == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_nf", lambda args: seen.append(args.expr) or 0)
+    monkeypatch.setattr(cli, "cmd_ses_check", lambda args: seen.append(args.n) or 0)
+    assert run_cli(capsys, "nf", "--n", "2", "x1") == (0, "")
+    assert run_cli(capsys, "ses-check", "--n", "3") == (0, "")
+    assert seen == ["x1", 3]
+
+
+def test_usage_error_leaves_no_state_behind(capsys):
+    argv = ("mul", "--n", "2", "--format", "text", "--", "-3*x1", "T1")
+    alone = run_cli(capsys, *argv)
+    for bad in (("nf",), ("nf", "--n", "-1", "x1"), ("no-such-command",),
+                ("grdim", "--qcut", "x"), ("verify", "nope")):
+        code, out, err = run_cli_err(capsys, *bad)
+        assert code == 2 and out == "" and "Traceback" not in err, bad
+        assert run_cli(capsys, *argv) == alone
+
+
+def test_repeated_calls_print_identical_output(capsys):
+    for argv in (("nf", "--n", "3", "T1*T2*x1*w2"),
+                 ("verify", "ses", "--n", "2", "--seed", "5"),
+                 ("homology", "--n", "2", "--N", "3", "--qcut", "8", "--format", "text")):
+        first, second = run_cli(capsys, *argv), run_cli(capsys, *argv)
+        assert first[0] == 0 and first == second, argv
