@@ -314,9 +314,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_params(args) -> None:
-    """Parameter ranges shared by every command."""
+    """Parameter ranges: --n >= 0 for every command and >= 1 where a command
+    needs a strand, --N >= 0 for cyclotomic."""
     if args.n < 0:
         raise UsageError(f"--n must be >= 0, got {args.n}")
+    command = f"verify {args.suite}" if args.command == "verify" else args.command
+    if args.n < 1 and command in ("schur", "ses-check", "verify schur",
+                                  "verify ses", "verify all"):
+        raise UsageError(f"--n must be >= 1 for {command}, got {args.n}")
     if args.command == "cyclotomic" and args.N < 0:
         raise UsageError(f"--N must be >= 0 for cyclotomic, got {args.N}")
 

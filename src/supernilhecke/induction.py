@@ -12,23 +12,25 @@ Free left-module decompositions in use (W_a = T_n...T_a):
   dotted:  (+)_a  A_n . W_a . x_a^p   and   A_n . G_a^p,
 with G_a^p = T_n...T_1 x_1^p w_1 T_1...T_{a-1} (= W_a . dotted theta_a).
 
-Both decompositions reduce by triangular elimination.  Terms carrying the top
-odd generator strip against the odd family, whose expansions have a unique
-shortest-permutation unit-coefficient term; the remaining terms reduce
-structurally through the coset factorization: a plain family element
+Both decompositions run one greedy triangular elimination.  Terms carrying
+the top odd generator go first, against the odd family, whose expansions
+have a unique shortest-permutation unit-coefficient term; the remaining
+terms reduce through the coset factorization: a plain family element
 u . x_{n+1}^p W_a is itself a basis monomial, and a dotted one u . W_a x_a^p
 has that monomial as its unique longest-permutation term.  Every elimination
-step asserts its own progress, and the recombination helpers give exactness
-checks; an inconsistency raises instead of returning wrong coordinates.
+step checks that the family element has coefficient +-1 at the lead and
+that the lead is gone after the subtraction, and the recombination helpers
+give exactness checks; an inconsistency raises ArithmeticError instead of
+returning wrong coordinates or looping.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from . import symgroup
 from .algebra import AlgebraElement, TermKey
-from .superring import SuperPolynomial
-from .symgroup import Perm
+from .superring import SuperPolynomial, accumulate
 
 
 def embed(u: AlgebraElement) -> AlgebraElement:
@@ -58,142 +60,90 @@ class SesComponents:
     omega_part: list[tuple[AlgebraElement, int]]
 
 
-class InductionContext:
-    """Caches for decomposing (n+1)-strand elements over the n-strand algebra."""
+# ---- the families, on n1 = n + 1 strands --------------------------------------
 
-    def __init__(self, n: int, m: int):
-        self.n = n
-        self.m = m
-        self.n1 = n + 1
-        self._wa_xp: dict[tuple[int, int], AlgebraElement] = {}
-        self._ga_p: dict[tuple[int, int], AlgebraElement] = {}
-        self._odd_exp_cache: dict[tuple, AlgebraElement] = {}
+@functools.cache
+def _wa_xp(n1: int, m: int, a: int, p: int) -> AlgebraElement:
+    """Normal form of W_a . x_a^p (a = n+1 gives x_{n+1}^p)."""
+    return (AlgebraElement.T_word(n1, m, symgroup.coset_word(n1, a))
+            * AlgebraElement.x(n1, m, a, p))
 
-    # ---- family generators ------------------------------------------------
-    def coset_T(self, a: int) -> AlgebraElement:
-        """W_a = T_n ... T_a as an element (a = n+1 gives 1)."""
-        return AlgebraElement.T_word(self.n1, self.m, tuple(range(a, self.n1)))
 
-    def wa_xp(self, a: int, p: int) -> AlgebraElement:
-        """Normal form of W_a . x_a^p."""
-        key = (a, p)
-        if key not in self._wa_xp:
-            self._wa_xp[key] = self.coset_T(a) * AlgebraElement.x(self.n1, self.m, a, p)
-        return self._wa_xp[key]
+@functools.cache
+def _ga_p(n1: int, m: int, a: int, p: int) -> AlgebraElement:
+    """Normal form of G_a^p = T_n...T_1 x_1^p w_1 T_1...T_{a-1}."""
+    mid = AlgebraElement.from_poly(
+        SuperPolynomial.x(n1, m, 1, p) * SuperPolynomial.w(n1, m, 1))
+    return (AlgebraElement.T_word(n1, m, tuple(range(1, n1))) * mid
+            * AlgebraElement.T_word(n1, m, tuple(range(a - 1, 0, -1))))
 
-    def ga_p(self, a: int, p: int) -> AlgebraElement:
-        """Normal form of G_a^p = T_n...T_1 x_1^p w_1 T_1...T_{a-1}."""
-        key = (a, p)
-        if key not in self._ga_p:
-            left = AlgebraElement.T_word(self.n1, self.m, tuple(range(1, self.n1)))
-            mid = AlgebraElement.from_poly(
-                SuperPolynomial.x(self.n1, self.m, 1, p)
-                * SuperPolynomial.w(self.n1, self.m, 1))
-            right = AlgebraElement.T_word(self.n1, self.m, tuple(range(a - 1, 0, -1)))
-            self._ga_p[key] = left * mid * right
-        return self._ga_p[key]
 
-    # ---- the odd block -------------------------------------------------------
-    #
-    # The expansion of an odd family element u . x_{n+1}^p G_a (plain) or
-    # u . G_a^p (dotted), u = x^k w_S T_t a basis monomial, has a unique
-    # top-odd term of minimal permutation length, with unit coefficient:
-    #     ( k + p e_{n+1},  S + {n+1},  shift(t) . s_1...s_{a-1} ),
-    # where shift moves t to the strands 2..n+1.  All other top-odd terms sit
-    # at strictly larger length, so the odd part eliminates greedily from the
-    # shortest permutation upward; every step asserts its progress.
+def _family(n1: int, m: int, a: int, p: int, odd: bool, plain: bool) -> AlgebraElement:
+    """The generator at (a, p): x_{n+1}^p W_a, or x_{n+1}^p G_a^0 on the odd
+    side, in the plain family; W_a x_a^p, or G_a^p, in the dotted one."""
+    if not plain:
+        return _ga_p(n1, m, a, p) if odd else _wa_xp(n1, m, a, p)
+    return AlgebraElement.x(n1, m, n1, p) * (_ga_p if odd else _wa_xp)(n1, m, a, 0)
 
-    def _sigma(self, a: int) -> Perm:
-        return symgroup.evaluate_word(self.n1, tuple(range(a - 1, 0, -1)))
 
-    def _odd_expansion(self, ukey: TermKey, a: int, p: int,
-                       with_outer_x: bool) -> AlgebraElement:
-        key = (ukey, a, p, with_outer_x)
-        if key not in self._odd_exp_cache:
-            fam = (AlgebraElement.x(self.n1, self.m, self.n1, p) * self.ga_p(a, 0)
-                   if with_outer_x else self.ga_p(a, p))
-            u1 = embed(AlgebraElement(self.n, self.m, {ukey: 1}))
-            self._odd_exp_cache[key] = u1 * fam
-        return self._odd_exp_cache[key]
+def _family_element(n1: int, m: int, ukey: TermKey, a: int, p: int, odd: bool,
+                    plain: bool) -> AlgebraElement:
+    """u . (the generator at (a, p)) for the n-strand basis monomial u = ukey."""
+    return embed(AlgebraElement(n1 - 1, m, {ukey: 1})) * _family(n1, m, a, p, odd, plain)
 
-    def _eliminate_top_omega(self, w: AlgebraElement, with_outer_x: bool):
-        """Strip the terms carrying the top odd generator against the odd
-        family; returns (coords, remainder) with coords[(a, p)] n-strand."""
-        n, m, n1 = self.n, self.m, self.n1
-        top_bit = 1 << n
-        coords: dict[tuple[int, int], AlgebraElement] = {}
-        rem = w
-        while True:
-            orows = {k: c for k, c in rem.terms.items() if k[1] & top_bit}
-            if not orows:
-                return coords, rem
-            lead = min(orows, key=lambda k: (symgroup.length(k[2]), k))
-            (xexp, omask, tau) = lead
+
+# The odd expansions are kept: they recur across elements.  Keeping the even
+# ones as well raised peak memory by more than it saved time.
+_odd_expansion = functools.cache(_family_element)
+
+
+# ---- the elimination -------------------------------------------------------------
+#
+# An odd family element u . x_{n+1}^p G_a^0 (plain) or u . G_a^p (dotted),
+# u = x^k w_S T_t a basis monomial, has a unique top-odd term of minimal
+# permutation length, with unit coefficient:
+#     ( k + p e_{n+1},  S + {n+1},  shift(t) . s_1...s_{a-1} ),
+# where shift moves t to the strands 2..n+1.  All other top-odd terms sit at
+# strictly larger length, so the odd part eliminates from the shortest
+# permutation upward.  Even family elements carry no top odd generator.  A
+# plain one is a single monomial, so the plain even part reads off in any
+# order; the dotted even part eliminates from the longest permutation down.
+
+def _eliminate(w: AlgebraElement, plain: bool) -> dict:
+    """Coordinates {(odd, a, p): {ukey: c}} of w in the plain or the dotted
+    family: w = sum c . ukey . (the generator at (a, p))."""
+    n1, m = w.n, w.m
+    n, top = n1 - 1, 1 << (n1 - 1)
+    terms = dict(w.terms)
+    coords: dict[tuple[bool, int, int], dict[TermKey, int]] = {}
+    while terms:
+        odd_keys = [k for k in terms if k[1] & top]
+        if odd_keys:
+            lead = min(odd_keys, key=lambda k: (symgroup.length(k[2]), k))
+            xexp, omask, tau = lead
             a = tau.index(1) + 1
-            sig_inv = symgroup.inverse(self._sigma(a))
-            shifted = symgroup.compose(tau, sig_inv)
+            shifted = symgroup.compose(
+                tau, symgroup.evaluate_word(n1, tuple(range(1, a))))
             if shifted[0] != 1:
                 raise ArithmeticError("odd lead permutation failed to split (bug)")
-            tprime = tuple(v - 1 for v in shifted[1:])
-            p = xexp[n]
-            ukey = (xexp[:n], omask & ~top_bit, tprime)
-            exp = self._odd_expansion(ukey, a, p, with_outer_x)
-            cexp = exp.terms.get(lead, 0)
-            if cexp not in (1, -1):
-                raise ArithmeticError("odd lead coefficient is not a unit (bug)")
-            c = orows[lead] * cexp
-            cur = coords.get((a, p), AlgebraElement.zero(n, m))
-            coords[(a, p)] = cur + AlgebraElement(n, m, {ukey: c})
-            rem = rem - exp.scale(c)
-            if rem.terms.get(lead, 0):
-                raise ArithmeticError("odd elimination made no progress (bug)")
-
-    # ---- structural / triangular even parts -------------------------------------
-    def _read_off_plain(self, rem: AlgebraElement):
-        """Coordinates of a top-omega-free element in the plain family
-        u . x_{n+1}^p W_a (each family element is a single monomial)."""
-        n, m = self.n, self.m
-        coords: dict[tuple[int, int], AlgebraElement] = {}
-        for (xexp, omask, perm), c in rem.terms.items():
-            if omask >> n & 1:
-                raise ArithmeticError("top odd generator not cleared (bug)")
+            ukey = (xexp[:n], omask & ~top, tuple(v - 1 for v in shifted[1:]))
+        else:
+            lead = (next(iter(terms)) if plain
+                    else max(terms, key=lambda k: symgroup.length(k[2])))
+            xexp, omask, perm = lead
             pprime, a = symgroup.coset_split(perm)
-            p = xexp[n]
             ukey = (xexp[:n], omask, pprime)
-            cur = coords.get((a, p), AlgebraElement.zero(n, m))
-            coords[(a, p)] = cur + AlgebraElement(n, m, {ukey: c})
-        return coords
-
-    def _eliminate_dotted(self, rem: AlgebraElement):
-        """Coordinates of a top-omega-free element in the dotted family
-        u . W_a x_a^p, by greedy elimination on descending permutation
-        length (the family is triangular with unit leading coefficient)."""
-        n, m = self.n, self.m
-        coords: dict[tuple[int, int], AlgebraElement] = {}
-        rem = AlgebraElement(self.n1, m, dict(rem.terms))
-        while not rem.is_zero():
-            key = max(rem.terms, key=lambda k: symgroup.length(k[2]))
-            (xexp, omask, perm) = key
-            if omask >> n & 1:
-                raise ArithmeticError("top odd generator not cleared (bug)")
-            c = rem.terms[key]
-            pprime, a = symgroup.coset_split(perm)
-            p = xexp[n]
-            ukey = (xexp[:n], omask, pprime)
-            cur = coords.get((a, p), AlgebraElement.zero(n, m))
-            coords[(a, p)] = cur + AlgebraElement(n, m, {ukey: c})
-            u1 = embed(AlgebraElement(n, m, {ukey: c}))
-            rem = rem - u1 * self.wa_xp(a, p)
-        return coords
-
-
-_CONTEXTS: dict[tuple[int, int], InductionContext] = {}
-
-
-def get_context(n: int, m: int) -> InductionContext:
-    if (n, m) not in _CONTEXTS:
-        _CONTEXTS[(n, m)] = InductionContext(n, m)
-    return _CONTEXTS[(n, m)]
+        odd, p = bool(odd_keys), xexp[n]
+        fam = (_odd_expansion if odd else _family_element)(n1, m, ukey, a, p, odd, plain)
+        unit = fam.terms.get(lead, 0)
+        if unit not in (1, -1):
+            raise ArithmeticError("lead coefficient is not a unit (bug)")
+        c = terms[lead] * unit
+        accumulate(coords.setdefault((odd, a, p), {}), ((ukey, c),))
+        accumulate(terms, ((k, -c * v) for k, v in fam.terms.items()))
+        if lead in terms:
+            raise ArithmeticError("elimination made no progress (bug)")
+    return coords
 
 
 def decompose_left(w: AlgebraElement):
@@ -202,32 +152,19 @@ def decompose_left(w: AlgebraElement):
 
     Returns {(a, eps): {p: n-strand element}} with eps = 1 for the theta side.
     """
-    n1, m = w.n, w.m
-    if n1 < 1:
+    if w.n < 1:
         raise ValueError("decompose_left needs at least one strand")
-    ctx = get_context(n1 - 1, m)
-    odd, rem = ctx._eliminate_top_omega(w, with_outer_x=True)
-    even = ctx._read_off_plain(rem)
     out: dict[tuple[int, int], dict[int, AlgebraElement]] = {}
-    for (a, p), u in odd.items():
-        if not u.is_zero():
-            out.setdefault((a, 1), {})[p] = u
-    for (a, p), u in even.items():
-        if not u.is_zero():
-            out.setdefault((a, 0), {})[p] = u
+    for (odd, a, p), ukeys in _eliminate(w, plain=True).items():
+        out.setdefault((a, int(odd)), {})[p] = AlgebraElement(w.n - 1, w.m, ukeys)
     return out
 
 
 def recombine_left(n1: int, m: int, coords) -> AlgebraElement:
-    ctx = get_context(n1 - 1, m)
     acc = AlgebraElement.zero(n1, m)
     for (a, eps), per_p in coords.items():
         for p, u in per_p.items():
-            fam = (AlgebraElement.x(n1, m, n1, p) * ctx.ga_p(a, 0) if eps
-                   else AlgebraElement.monomial(
-                       n1, m, (0,) * (n1 - 1) + (p,), 0, symgroup.identity(n1))
-                   * ctx.coset_T(a))
-            acc = acc + embed(u) * fam
+            acc = acc + embed(u) * _family(n1, m, a, p, bool(eps), True)
     return acc
 
 
@@ -243,32 +180,18 @@ def ses_split(w: AlgebraElement) -> tuple[list[tuple[AlgebraElement, AlgebraElem
     n = n1 - 1
     if n < 1:
         raise ValueError("ses_split needs at least two strands")
-    ctx = get_context(n, m)
-    odd, rem = ctx._eliminate_top_omega(w, with_outer_x=False)
-    even = ctx._eliminate_dotted(rem)
     pairs: list[tuple[AlgebraElement, AlgebraElement]] = []
     poly: list[tuple[AlgebraElement, int]] = []
     omega: list[tuple[AlgebraElement, int]] = []
-    for (a, p), u in even.items():
-        if u.is_zero():
-            continue
-        if a == n1:
-            poly.append((u, p))
+    # even pairs are listed before odd ones
+    coords = sorted(_eliminate(w, plain=False).items(), key=lambda kv: kv[0][0])
+    for (odd, a, p), ukeys in coords:
+        u = AlgebraElement(n, m, ukeys)
+        if a < n1:
+            # u . W_a x_a^p = u T_n (W_a x_a^p on n strands), likewise for G_a^p
+            pairs.append((u, _family(n, m, a, p, odd, False)))
         else:
-            v = AlgebraElement.T_word(n, m, tuple(range(a, n))) \
-                * AlgebraElement.x(n, m, a, p)
-            pairs.append((u, v))
-    for (a, p), u in odd.items():
-        if u.is_zero():
-            continue
-        if a == n1:
-            omega.append((u, p))
-        else:
-            v = AlgebraElement.T_word(n, m, tuple(range(1, n))) \
-                * AlgebraElement.from_poly(
-                    SuperPolynomial.x(n, m, 1, p) * SuperPolynomial.w(n, m, 1)) \
-                * AlgebraElement.T_word(n, m, tuple(range(a - 1, 0, -1)))
-            pairs.append((u, v))
+            (omega if odd else poly).append((u, p))
     return pairs, SesComponents(poly_part=poly, omega_part=omega)
 
 
@@ -282,12 +205,10 @@ def crossing_map(n1: int, m: int, pairs) -> AlgebraElement:
 
 
 def recombine_ses(n1: int, m: int, pairs, coker: SesComponents) -> AlgebraElement:
-    ctx = get_context(n1 - 1, m)
     acc = crossing_map(n1, m, pairs)
-    for u, p in coker.poly_part:
-        acc = acc + embed(u) * AlgebraElement.x(n1, m, n1, p)
-    for u, p in coker.omega_part:
-        acc = acc + embed(u) * ctx.ga_p(n1, p)
+    for odd, part in ((False, coker.poly_part), (True, coker.omega_part)):
+        for u, p in part:
+            acc = acc + embed(u) * _family(n1, m, n1, p, odd, False)
     return acc
 
 

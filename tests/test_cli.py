@@ -246,12 +246,20 @@ def test_verify_all_with_jobs(capsys):
     ("schur", "[true]", "[]"),
     ("schur", "1", "[]"),
     ("grdim", "--n", "0", "--qcut", "-1"),
+    ("schur", "--n", "0", "[]", "[]"),
+    ("ses-check", "--n", "0"),
+    ("verify", "schur", "--n", "0"),
+    ("verify", "ses", "--n", "0"),
+    ("verify", "all", "--n", "0"),
 ])
 def test_out_of_range_input_is_a_usage_error(capsys, argv):
     code, out, err = run_cli_err(capsys, *argv)
     assert code == 2
     assert out == ""
     assert "Traceback" not in err
+    if argv[0] in ("schur", "ses-check", "verify") and "--n" in argv:
+        command = " ".join(argv[:2]) if argv[0] == "verify" else argv[0]
+        assert f"--n must be >= 1 for {command}, got 0" in err
 
 
 def test_zero_strands_stay_valid(capsys):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from supernilhecke import induction
 from supernilhecke.algebra import AlgebraElement, random_element
 from supernilhecke.induction import (
     crossing_map, decompose_left, embed, projection_poly_part, recombine_left,
@@ -67,15 +68,50 @@ def test_decompose_left_round_trips():
 
 
 def test_decompose_left_unique():
-    # coordinates of a recombination come back unchanged
+    # coordinates of a recombination come back unchanged, in the plain left
+    # decomposition and in the SES splitting
+    terms = lambda u: tuple(sorted(u.terms.items()))
+    left_terms = lambda cs: {(k, p): terms(u) for k, per in cs.items()
+                             for p, u in per.items()}
+    ses_terms = lambda split: (
+        sorted((terms(u), terms(v)) for u, v in split[0]),
+        {p: terms(u) for u, p in split[1].poly_part},
+        {p: terms(u) for u, p in split[1].omega_part})
+    cases = ((decompose_left, recombine_left, left_terms),
+             (ses_split, lambda n1, m, split: recombine_ses(n1, m, *split), ses_terms))
     rng = random.Random(12)
+    for decompose, recombine, as_terms in cases:
+        for n1 in (2, 3, 4):
+            for m in (-1, 0):
+                for _ in range(6):
+                    w = random_element(n1, m, rng, nterms=3, maxexp=1)
+                    coords = decompose(w)
+                    again = decompose(recombine(n1, m, coords))
+                    assert as_terms(again) == as_terms(coords)
+
+
+@pytest.mark.parametrize("bad", [2, 0])
+@pytest.mark.parametrize("builder", ["_odd_expansion", "_family_element"])
+@pytest.mark.parametrize("decompose", [decompose_left, ses_split])
+def test_elimination_stops_at_a_non_unit_lead(monkeypatch, decompose, builder, bad):
+    # a family element whose lead coefficient is 2 or 0 must stop the
+    # elimination at that step, not let it go on or loop
+    calls = []
+    real = getattr(induction, builder)
+
+    def broken(*args):
+        calls.append(args)
+        if len(calls) > 1:
+            raise RuntimeError("the elimination went on past a bad step")
+        return real(*args).scale(bad)
+
+    monkeypatch.setattr(induction, builder, broken)
     n1, m = 3, -1
-    w = random_element(n1, m, rng)
-    coords = decompose_left(w)
-    again = decompose_left(recombine_left(n1, m, coords))
-    as_terms = lambda cs: {(k, p): tuple(sorted(u.terms.items()))
-                           for k, per in cs.items() for p, u in per.items()}
-    assert as_terms(coords) == as_terms(again)
+    # one odd lead, for the odd strip, and one even lead for the other pass
+    w = E.w(n1, m, n1) + E.x(n1, m, n1)
+    with pytest.raises(ArithmeticError):
+        decompose(w)
+    assert len(calls) == 1
 
 
 def test_ses_round_trips():
