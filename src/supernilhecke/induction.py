@@ -18,10 +18,11 @@ have a unique shortest-permutation unit-coefficient term; the remaining
 terms reduce through the coset factorization: a plain family element
 u . x_{n+1}^p W_a is itself a basis monomial, and a dotted one u . W_a x_a^p
 has that monomial as its unique longest-permutation term.  Every elimination
-step checks that the family element has coefficient +-1 at the lead and
-that the lead is gone after the subtraction, and the recombination helpers
-give exactness checks; an inconsistency raises ArithmeticError instead of
-returning wrong coordinates or looping.
+step checks that the family element has coefficient +-1 at the lead, so the
+lead is gone after the subtraction, and that all its other terms come after
+the lead in the pass's order, so no earlier lead comes back; the
+recombination helpers give exactness checks.  An inconsistency raises
+ArithmeticError instead of returning wrong coordinates or looping.
 """
 from __future__ import annotations
 
@@ -63,27 +64,20 @@ class SesComponents:
 # ---- the families, on n1 = n + 1 strands --------------------------------------
 
 @functools.cache
-def _wa_xp(n1: int, m: int, a: int, p: int) -> AlgebraElement:
-    """Normal form of W_a . x_a^p (a = n+1 gives x_{n+1}^p)."""
-    return (AlgebraElement.T_word(n1, m, symgroup.coset_word(n1, a))
-            * AlgebraElement.x(n1, m, a, p))
-
-
-@functools.cache
-def _ga_p(n1: int, m: int, a: int, p: int) -> AlgebraElement:
-    """Normal form of G_a^p = T_n...T_1 x_1^p w_1 T_1...T_{a-1}."""
-    mid = AlgebraElement.from_poly(
-        SuperPolynomial.x(n1, m, 1, p) * SuperPolynomial.w(n1, m, 1))
-    return (AlgebraElement.T_word(n1, m, tuple(range(1, n1))) * mid
-            * AlgebraElement.T_word(n1, m, tuple(range(a - 1, 0, -1))))
-
-
 def _family(n1: int, m: int, a: int, p: int, odd: bool, plain: bool) -> AlgebraElement:
-    """The generator at (a, p): x_{n+1}^p W_a, or x_{n+1}^p G_a^0 on the odd
-    side, in the plain family; W_a x_a^p, or G_a^p, in the dotted one."""
-    if not plain:
-        return _ga_p(n1, m, a, p) if odd else _wa_xp(n1, m, a, p)
-    return AlgebraElement.x(n1, m, n1, p) * (_ga_p if odd else _wa_xp)(n1, m, a, 0)
+    """Normal form of the generator at (a, p): x_{n+1}^p W_a, or x_{n+1}^p G_a^0
+    on the odd side, in the plain family; W_a x_a^p, or G_a^p, in the dotted
+    one, where G_a^q = T_n...T_1 x_1^q w_1 T_1...T_{a-1}."""
+    q = 0 if plain else p
+    if odd:
+        mid = AlgebraElement.from_poly(
+            SuperPolynomial.x(n1, m, 1, q) * SuperPolynomial.w(n1, m, 1))
+        gen = (AlgebraElement.T_word(n1, m, tuple(range(1, n1))) * mid
+               * AlgebraElement.T_word(n1, m, tuple(range(a - 1, 0, -1))))
+    else:
+        gen = (AlgebraElement.T_word(n1, m, symgroup.coset_word(n1, a))
+               * AlgebraElement.x(n1, m, a, q))
+    return AlgebraElement.x(n1, m, n1, p) * gen if plain else gen
 
 
 def _family_element(n1: int, m: int, ukey: TermKey, a: int, p: int, odd: bool,
@@ -138,11 +132,20 @@ def _eliminate(w: AlgebraElement, plain: bool) -> dict:
         unit = fam.terms.get(lead, 0)
         if unit not in (1, -1):
             raise ArithmeticError("lead coefficient is not a unit (bug)")
+        # every other term must come after the lead in this pass's order, so
+        # that no earlier lead comes back
+        rank = (symgroup.length(lead[2]), lead)
+        if odd:
+            early = [k for k in fam.terms
+                     if k[1] & top and (symgroup.length(k[2]), k) < rank]
+        else:
+            early = [k for k in fam.terms if k != lead and (
+                plain or k[1] & top or symgroup.length(k[2]) >= rank[0])]
+        if early:
+            raise ArithmeticError("family element has a term before the lead (bug)")
         c = terms[lead] * unit
         accumulate(coords.setdefault((odd, a, p), {}), ((ukey, c),))
         accumulate(terms, ((k, -c * v) for k, v in fam.terms.items()))
-        if lead in terms:
-            raise ArithmeticError("elimination made no progress (bug)")
     return coords
 
 

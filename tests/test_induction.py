@@ -77,25 +77,31 @@ def test_decompose_left_unique():
         sorted((terms(u), terms(v)) for u, v in split[0]),
         {p: terms(u) for u, p in split[1].poly_part},
         {p: terms(u) for u, p in split[1].omega_part})
-    cases = ((decompose_left, recombine_left, left_terms),
-             (ses_split, lambda n1, m, split: recombine_ses(n1, m, *split), ses_terms))
+    # the default-size element at n+1 = 3, m = -1, then smaller ones for the
+    # SES on n+1 in {2, 3, 4}, m in {-1, 0}
     rng = random.Random(12)
-    for decompose, recombine, as_terms in cases:
-        for n1 in (2, 3, 4):
-            for m in (-1, 0):
-                for _ in range(6):
-                    w = random_element(n1, m, rng, nterms=3, maxexp=1)
-                    coords = decompose(w)
-                    again = decompose(recombine(n1, m, coords))
-                    assert as_terms(again) == as_terms(coords)
+    cases = [(decompose_left, recombine_left, left_terms, 3, -1, {})]
+    cases += [(ses_split, lambda n1, m, split: recombine_ses(n1, m, *split), ses_terms,
+               n1, m, {"nterms": 3, "maxexp": 1})
+              for n1 in (2, 3, 4) for m in (-1, 0) for _ in range(6)]
+    for decompose, recombine, as_terms, n1, m, size in cases:
+        w = random_element(n1, m, rng, **size)
+        coords = decompose(w)
+        again = decompose(recombine(n1, m, coords))
+        assert as_terms(again) == as_terms(coords)
 
 
-@pytest.mark.parametrize("bad", [2, 0])
+@pytest.mark.parametrize("spoil", ["times 2", "times 0", "term before the lead"])
 @pytest.mark.parametrize("builder", ["_odd_expansion", "_family_element"])
 @pytest.mark.parametrize("decompose", [decompose_left, ses_split])
-def test_elimination_stops_at_a_non_unit_lead(monkeypatch, decompose, builder, bad):
-    # a family element whose lead coefficient is 2 or 0 must stop the
-    # elimination at that step, not let it go on or loop
+def test_elimination_stops_at_a_bad_step(monkeypatch, decompose, builder, spoil):
+    # a family element whose lead coefficient is 2 or 0, or one with a unit
+    # lead but a term that its pass takes before the lead (for odd leads a
+    # shorter top-odd term, for even ones any other term in the plain pass or
+    # a longer one in the dotted pass), must stop the elimination at that
+    # step, not let it go on or loop
+    n1, m = 3, -1
+    early = E.w(n1, m, n1) if builder == "_odd_expansion" else E.T_word(n1, m, (1, 2, 1))
     calls = []
     real = getattr(induction, builder)
 
@@ -103,13 +109,16 @@ def test_elimination_stops_at_a_non_unit_lead(monkeypatch, decompose, builder, b
         calls.append(args)
         if len(calls) > 1:
             raise RuntimeError("the elimination went on past a bad step")
-        return real(*args).scale(bad)
+        if spoil == "term before the lead":
+            return real(*args) + early
+        return real(*args).scale(int(spoil[-1]))
 
     monkeypatch.setattr(induction, builder, broken)
-    n1, m = 3, -1
-    # one odd lead, for the odd strip, and one even lead for the other pass
-    w = E.w(n1, m, n1) + E.x(n1, m, n1)
-    with pytest.raises(ArithmeticError):
+    # one odd lead, w_3 T_1, longer than the added w_3, and one even lead,
+    # x_3, shorter than the added T_1 T_2 T_1
+    w = E.w(n1, m, n1) * E.T(n1, m, 1) + E.x(n1, m, n1)
+    message = "before the lead" if spoil == "term before the lead" else "not a unit"
+    with pytest.raises(ArithmeticError, match=message):
         decompose(w)
     assert len(calls) == 1
 
