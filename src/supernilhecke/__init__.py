@@ -14,8 +14,9 @@ from .dgstructure import (
     verify_d_squared,
 )
 from .gradedseries import (
-    GradedDim, grdim_An, nilhecke_cyclotomic_grdim, quantum_factorial,
-    quantum_int, sdim_An, ses_dimension_check, shapovalov_unit, verma_shapovalov,
+    GradedDim, cyclotomic_grdim_closed_form, grdim_An, nilhecke_cyclotomic_grdim,
+    quantum_factorial, quantum_int, sdim_An, ses_dimension_check, shapovalov_unit,
+    verma_shapovalov,
 )
 from .induction import (
     SesComponents, crossing_map, decompose_left, embed, recombine_left,

@@ -13,12 +13,13 @@ from __future__ import annotations
 import bisect
 import itertools
 from collections.abc import Collection
-from functools import lru_cache
+from functools import lru_cache, partial
+from operator import add
 
 from . import symgroup
 from .superring import (
-    LinearCombination, SuperPolynomial, Monomial, apply_simple, demazure,
-    demazure_word, exponent_vectors, labeled_omega, mask_to_indices,
+    LinearCombination, SuperPolynomial, Monomial, _merge_masks, apply_simple,
+    demazure, demazure_word, exponent_vectors, labeled_omega, mask_to_indices,
     monomials_at, odd_degree,
 )
 from .symgroup import Perm, Word
@@ -90,7 +91,7 @@ class AlgebraElement(LinearCombination):
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check(other)
         return AlgebraElement._adopt(self.n, self.m, _times(
-            self._group_by_perm(), other._group_by_perm(), {}))
+            self._group_by_perm(), other._group_by_perm()))
 
     # ---- grading and display ------------------------------------------------
     def monomial_bidegree(self, key: TermKey) -> tuple[int, int]:
@@ -122,14 +123,15 @@ def _compose_adding(rho: Perm, sigma: Perm) -> Perm | None:
     return prod if adds else None
 
 
-def _times(left: dict[Perm, SuperPolynomial], right: dict[Perm, SuperPolynomial],
-           push_cache: dict) -> dict[TermKey, int]:
+def _times(left: dict[Perm, SuperPolynomial],
+           right: dict[Perm, SuperPolynomial]) -> dict[TermKey, int]:
     """Terms of the product of two elements given as groups perm -> ring part:
     f T_theta . g T_sigma = sum_rho f h_rho T_rho T_sigma, where T_theta . g =
-    sum_rho h_rho T_rho comes from push_T_through, looked up in push_cache
-    under (theta, terms of g) first.  A unit g needs no push or product:
-    T_theta . 1 = T_theta, so f is added under theta.sigma as it is."""
+    sum_rho h_rho T_rho comes from push_T_through once per (theta, terms of
+    g) in the call, even if g recurs under another sigma.  A unit g needs no
+    push or product: T_theta . 1 = T_theta, so f goes under theta.sigma."""
     out: dict[TermKey, int] = {}
+    push_cache: dict = {}
     for sigma, g in right.items():
         gkey = tuple(g.terms.items())
         unit = gkey == ((((0,) * g.n, 0), 1),)
@@ -444,28 +446,24 @@ def verify_relations(n: int, m: int, max_extra_label: int = 3) -> list[str]:
 
 # ---- cyclotomic quotients -----------------------------------------------------
 
-def _min_qdeg(n: int, m: int) -> int:
-    """Least q-degree of a basis monomial."""
-    lead = sum(min(0, odd_degree(m, 1 << i)) for i in range(n))
-    return lead - n * (n - 1)
-
-
 def spanning_rank_table(n: int, m: int, middle: AlgebraElement,
                         blocks: Collection[tuple[int, int, int]]
                         ) -> dict[tuple[int, int, int], int]:
     """Per-(q, lambda, parity) rank of the two-sided span { u . z . v } over
     basis monomials u, v, for the middle z and each key of blocks.
 
-    Rows are (u . z) . v, both products through _times with one push cache
-    per call.  When every term of z has the identity permutation, z is a
-    homogeneous ring element, and super-commutativity gives
-    z . x^a w^S = +-x^a w^S . z, so u . z . (x^a w^S T_p) =
-    +-(u x^a w^S) . z . T_p, where u x^a w^S is a sum of basis monomials of
-    one degree: then v = T_p for p in S_n already spans the ideal.  Otherwise
-    (as for idempotent_e) v ranges over all basis monomials.  The lefts
-    u . z of a degree are formed the first time a block needs them.  Rows
-    are visited in a fixed order, so each rank and the early exit do not
-    depend on the cache.
+    When every term of z has the identity permutation, z is a homogeneous
+    ring element, and super-commutativity gives z . x^a w^S = +-x^a w^S . z,
+    so u . z . (x^a w^S T_p) = +-(u x^a w^S) . z . T_p, where u x^a w^S is a
+    sum of basis monomials of one degree: then v = T_p for p in S_n already
+    spans the ideal.  Otherwise (as for idempotent_e) v ranges over all basis
+    monomials.  For u = x^a w^S T_r, associativity gives the row
+    u . z . v = x^a w^S . G_{r,v}, with G_{r,v} = T_r . z . v formed once per
+    call.  The shift sends a term x^e w^O T_k of G_{r,v} to 0 if S and O meet,
+    else to +-x^{a+e} w^{S+O} T_k, from which e, O and k can be read back, so
+    distinct terms land on distinct keys and nothing accumulates.  Rows go
+    per degree of v in order of first appearance, then u in basis_at_bidegree
+    order, then v; zero rows are skipped.
     """
     from .linalg import IntEchelon
     if middle.bidegree() is None:
@@ -473,37 +471,39 @@ def spanning_rank_table(n: int, m: int, middle: AlgebraElement,
     if not blocks:
         return {}
     dq, dl = middle.bidegree()
-    mid_groups, push_cache = middle._group_by_perm(), {}
-    rights: dict[tuple[int, int], list[dict[Perm, SuperPolynomial]]] = {}
-    if set(mid_groups) == {symgroup.identity(n)}:
-        vs = [((0,) * n, 0, p) for p in symgroup.all_permutations(n)]
-    else:
-        vs = basis(n, m, max(q for q, _, _ in blocks) - dq - _min_qdeg(n, m))
+    perms = list(symgroup.all_permutations(n))
+    if all(perm == symgroup.identity(n) for _, _, perm in middle.terms):
+        vs = [((0,) * n, 0, p) for p in perms]
+    else:  # up to the top block's q, less the least q-degree of a u
+        least = sum(min(0, odd_degree(m, 1 << i)) for i in range(n)) - n * (n - 1)
+        vs = basis(n, m, max(q for q, _, _ in blocks) - dq - least)
+    rights: dict[tuple[int, int], list[TermKey]] = {}
     for v in vs:
-        rights.setdefault(middle.monomial_bidegree(v), []).append(
-            {v[2]: SuperPolynomial(n, m, {v[:2]: 1})})
-    lefts: dict[tuple[int, int], list[dict[Perm, SuperPolynomial]]] = {}
+        rights.setdefault(middle.monomial_bidegree(v), []).append(v)
+    left_basis = lru_cache(maxsize=None)(partial(basis_at_bidegree, n, m))
+    t_mid = {r: AlgebraElement.T_perm(n, m, r) * middle for r in perms}
+
+    @lru_cache(maxsize=None)
+    def generator(r: Perm, v: TermKey) -> list[tuple[TermKey, int]]:
+        return list((t_mid[r] * AlgebraElement(n, m, {v: 1})).terms.items())
 
     def rank_at(q: int, l: int) -> int:
         monos = basis_at_bidegree(n, m, q, l)
         index = {key: i for i, key in enumerate(monos)}
         ech = IntEchelon(len(monos))
         for (qv, lv), rs in rights.items():
-            deg = (q - dq - qv, l - dl - lv)
-            if deg not in lefts:
-                us = (_times({u[2]: SuperPolynomial(n, m, {u[:2]: 1})}, mid_groups, push_cache)
-                      for u in basis_at_bidegree(n, m, *deg))
-                lefts[deg] = [AlgebraElement(n, m, t)._group_by_perm() for t in us if t]
-            for left in lefts[deg]:
-                for right in rs:
-                    prod = _times(left, right, push_cache)
-                    if prod and ech.add({index[key]: c for key, c in prod.items()}) \
-                            and ech.is_full():
+            for a, s, r in left_basis(q - dq - qv, l - dl - lv):
+                for v in rs:
+                    row = {}
+                    for (e, o, k), c in generator(r, v):
+                        sign, mask = _merge_masks(s, o)
+                        if sign:
+                            row[index[tuple(map(add, a, e)), mask, k]] = sign * c
+                    if row and ech.add(row) and ech.is_full():
                         return ech.rank
         return ech.rank
 
-    ranks = {key: rank_at(key[0], key[1]) for key in blocks}
-    return {key: r for key, r in ranks.items() if r}
+    return {key: r for key in blocks if (r := rank_at(key[0], key[1]))}
 
 
 def basis_at_bidegree(n: int, m: int, q: int, lam: int) -> list[TermKey]:

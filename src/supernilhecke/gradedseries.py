@@ -253,3 +253,20 @@ def nilhecke_cyclotomic_grdim(n: int, L: int, qcut: int) -> dict[int, int]:
     for i in range(L - n + 1, L + 1):
         acc = acc * quantum_int(i)
     return {q: c for (q, _, _), c in acc.coeffs.items() if q <= qcut}
+
+
+def cyclotomic_grdim_closed_form(n: int, N: int, qcut: int) -> dict[Key, int]:
+    """Graded dimension of the cyclotomic quotient A_n / (x_1^N) at m = -1
+    per (q, lambda, parity) up to qcut, as grdim NH_n^N . prod_{i=1..n}
+    (1 + pi lam^2 q^{-2i}): the quotient measured as NH_n^N (x)
+    Lambda(w_1..w_n).  A checked conjecture, not a theorem: it equals
+    algebra.cyclotomic_grdim key by key at (n, N, qcut) = (1, 1, 12),
+    (1, 4, 12), (2, 1, 16), (2, 2, 16), (2, 4, 12), (2, 5, 22), (3, 1, 8),
+    (3, 2, 6), (3, 3, 6), (3, 4, 0), (3, 5, -4) and (4, 4, -12).  The
+    factors lower q by at most n(n+1), so NH_n^N is taken that far past
+    qcut."""
+    nh = nilhecke_cyclotomic_grdim(n, N, qcut + n * (n + 1))
+    acc = GradedDim(min(nh, default=0), None, {(q, 0, 0): c for q, c in nh.items()})
+    for i in range(1, n + 1):
+        acc = acc * (GradedDim.one() + GradedDim.term(1, -2 * i, 2, 1))
+    return {key: c for key, c in acc.coeffs.items() if key[0] <= qcut}

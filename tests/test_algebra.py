@@ -394,6 +394,63 @@ def test_spanning_table_matches_reference(n, m, qcut):
             reference_spanning_rank_table(n, m, middle, qcut), middle
 
 
+def reference_row_sequence(n, m, middle, blocks):
+    """The rows spanning_rank_table hands to IntEchelon.add, rebuilt in the
+    order its docstring gives: per block, per degree of v in the order of
+    the v's, u in basis_at_bidegree order, then v, each row formed as
+    (u . middle) . v by __mul__, zero rows skipped, stopping once the block
+    is full."""
+    dq, dl = middle.bidegree()
+    if all(perm == sg.identity(n) for _, _, perm in middle.terms):
+        vs = [((0,) * n, 0, p) for p in sg.all_permutations(n)]
+    else:
+        minq = sum(min(0, 2 * (m - i)) for i in range(n)) - n * (n - 1)
+        vs = basis(n, m, max(q for q, _, _ in blocks) - dq - minq)
+    rights = {}
+    for v in vs:
+        rights.setdefault(E(n, m, {v: 1}).bidegree(), []).append(v)
+
+    def block_rows(q, l, index):
+        for (qv, lv), group in rights.items():
+            for u in basis_at_bidegree(n, m, q - dq - qv, l - dl - lv):
+                for v in group:
+                    prod = (E(n, m, {u: 1}) * middle) * E(n, m, {v: 1})
+                    if not prod.is_zero():
+                        yield {index[k]: c for k, c in prod.terms.items()}
+
+    rows = []
+    for q, l, _ in blocks:
+        index = {key: i for i, key in enumerate(basis_at_bidegree(n, m, q, l))}
+        ech = IntEchelon(len(index))
+        for row in block_rows(q, l, index):
+            rows.append(row)
+            if ech.add(row) and ech.is_full():
+                break
+    return rows
+
+
+@pytest.mark.parametrize("case", ["x1^2 n=3", "x1*wn n=2", "idempotent_e n=2"])
+def test_spanning_table_rows_match_reference_sequence(case, monkeypatch):
+    n, m, qcut, middle = {
+        "x1^2 n=3": (3, -1, -8, E.x(3, -1, 1, 2)),
+        "x1*wn n=2": (2, -1, 8, E.x(2, -1, 1) * E.w(2, -1, 2)),
+        "idempotent_e n=2": (2, -1, 8, idempotent_e(2, -1)),
+    }[case]
+    blocks = basis_counts(n, m, qcut)
+    want = reference_row_sequence(n, m, middle, blocks)
+    seen = []
+    add = IntEchelon.add
+
+    def recording_add(self, row):
+        seen.append(dict(row))
+        return add(self, row)
+    monkeypatch.setattr(IntEchelon, "add", recording_add)
+    table = spanning_rank_table(n, m, middle, blocks)
+    assert seen == want
+    if case == "x1^2 n=3":
+        assert table == blocks  # the quotient is zero: every block exits full
+
+
 def test_cyclotomic_lambda_zero_part_is_nilhecke_closed_form():
     """The lambda = 0 part of cyclotomic_grdim(n, N, qcut) is the graded
     dimension of the cyclotomic nilHecke algebra NH_n / (x_1^N).

@@ -3,12 +3,12 @@ import random
 import pytest
 
 from supernilhecke import gradedseries
-from supernilhecke.algebra import basis_counts
+from supernilhecke.algebra import basis_counts, cyclotomic_grdim
 from supernilhecke.dgstructure import nilhecke_cyclotomic_oracle
 from supernilhecke.gradedseries import (
-    GradedDim, _grdim_numerator, grdim_An, nilhecke_cyclotomic_grdim,
-    quantum_factorial, quantum_int, sdim_An, ses_dimension_check,
-    shapovalov_unit, verma_shapovalov,
+    GradedDim, _grdim_numerator, cyclotomic_grdim_closed_form, grdim_An,
+    nilhecke_cyclotomic_grdim, quantum_factorial, quantum_int, sdim_An,
+    ses_dimension_check, shapovalov_unit, verma_shapovalov,
 )
 
 
@@ -184,3 +184,12 @@ def test_cyclotomic_closed_form_matches_oracle():
     for n, L, qcut in ((4, 3, 2), (4, 4, -4)):
         want = nilhecke_cyclotomic_oracle(n, L, qcut)
         assert nilhecke_cyclotomic_grdim(n, L, qcut) == want, (n, L, qcut)
+
+
+@pytest.mark.parametrize("n,N,qcut", [
+    (1, 1, 12), (1, 4, 12), (2, 1, 16), (2, 2, 16), (2, 4, 12), (2, 5, 22),
+    (3, 1, 8), (3, 2, 6), (3, 3, 6), (3, 4, 0), (3, 5, -4),
+])
+def test_cyclotomic_grdim_closed_form_matches_span(n, N, qcut):
+    # key by key over (q, lambda, parity); (4, 4, -12) is checked in CI
+    assert cyclotomic_grdim_closed_form(n, N, qcut) == cyclotomic_grdim(n, N, qcut)
