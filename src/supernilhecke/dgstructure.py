@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
-from operator import add
+from functools import cache, lru_cache
+from operator import add, mul
 
 from . import symgroup
 from .algebra import (
@@ -50,41 +50,43 @@ def generator_image(p: DgParams, i: int) -> SuperPolynomial:
 
 
 @lru_cache(maxsize=64)
-def _generator_images(p: DgParams) -> dict[int, SuperPolynomial]:
-    """d_N on every odd generator, built once per parameter set; callers
-    only read the shared dict and its polynomials."""
-    return {i: generator_image(p, i) for i in range(1, p.n + 1)}
+def _generator_images(p: DgParams) -> tuple:
+    """The odd-image table of d_N, built once per parameter set; read only."""
+    return odd_images(p.n, {i: generator_image(p, i) for i in range(1, p.n + 1)})
 
 
-def _d_ring(images: dict[int, SuperPolynomial], xexp, omask: int) -> dict[Monomial, int]:
-    """The terms of d(x^xexp w^omask), read straight from the generator
-    images: the j-th odd factor w_i contributes
-    (-1)^{j-1} x^xexp w^{omask minus i} d(w_i)."""
-    out: dict[Monomial, int] = {}
-    for j, i in enumerate(mask_to_indices(omask)):
-        rest = omask & ~(1 << (i - 1))
-        sign = -1 if j & 1 else 1
-        for (xe, om), c in images[i].terms.items():
-            koszul, mask = _merge_masks(rest, om)
-            if koszul:
-                key = (tuple(map(add, xexp, xe)), mask)
-                v = out.get(key, 0) + sign * koszul * c
-                if v:
-                    out[key] = v
-                else:
-                    out.pop(key, None)
-    return out
+def odd_images(n: int, images: dict[int, SuperPolynomial]) -> tuple:
+    """The odd-image table of the odd derivation with the given images of
+    w_1..w_n: entry S is d(w^S) = sum_j (-1)^{j-1} w^{S minus i_j} d(w_{i_j})
+    over the odd factors w_{i_1} < .. < w_{i_k} of w^S, as (xe, mask, c)
+    terms, each product reordered with its Koszul sign."""
+    table = []
+    for omask in range(1 << n):
+        terms: dict[Monomial, int] = {}
+        for j, i in enumerate(mask_to_indices(omask)):
+            for (xe, om), c in images[i].terms.items():
+                koszul, mask = _merge_masks(omask & ~(1 << (i - 1)), om)
+                if koszul:
+                    terms[xe, mask] = terms.get((xe, mask), 0) + (-c if j & 1 else c) * koszul
+        table.append(tuple((xe, mask, c) for (xe, mask), c in terms.items() if c))
+    return tuple(table)
 
 
-def derivation_extend(n: int, m: int, images: dict[int, SuperPolynomial],
-                      u: AlgebraElement) -> AlgebraElement:
-    """Extend a map on the odd generators (even, central images) to an odd
-    derivation killing x's and T's: d(f T_p) = d(f) T_p, with d(f) from
-    _d_ring on each ring monomial f."""
+def _d_ring(table: tuple, xexp, omask: int):
+    """The terms (key, c) of d(x^xexp w^omask): x^xexp commutes with
+    everything, so they are d(w^omask) from the odd-image table shifted by
+    xexp.  Distinct terms shift to distinct keys, so nothing accumulates."""
+    return (((tuple(map(add, xexp, xe)), mask), c) for xe, mask, c in table[omask])
+
+
+def derivation_extend(n: int, m: int, table: tuple, u: AlgebraElement) -> AlgebraElement:
+    """Extend a map on the odd generators (even, central images), given by
+    its odd-image table, to an odd derivation killing x's and T's:
+    d(f T_p) = d(f) T_p, with d(f) from _d_ring on each ring monomial f."""
     return AlgebraElement._adopt(n, m, accumulate({}, (
-        ((xe, om, perm), c * cc)
+        ((*key, perm), c * cc)
         for (xexp, omask, perm), c in u.terms.items()
-        for (xe, om), cc in _d_ring(images, xexp, omask).items())))
+        for key, cc in _d_ring(table, xexp, omask))))
 
 
 def apply_dN(p: DgParams, u: AlgebraElement) -> AlgebraElement:
@@ -115,13 +117,12 @@ def verify_d_squared(p: DgParams, qcut: int, samples: int = 50, seed: int = 0,
     pairs check d(f T_p) = d(f) T_p for every p explicitly.
     """
     import random
-    if images is None:
-        images = _generator_images(p)
+    table = _generator_images(p) if images is None else odd_images(p.n, images)
     E = AlgebraElement
     e = symgroup.identity(p.n)
 
     def d(u: AlgebraElement) -> AlgebraElement:
-        return derivation_extend(p.n, p.m, images, u)
+        return derivation_extend(p.n, p.m, table, u)
 
     def leibniz_ok(u: AlgebraElement, v: AlgebraElement) -> bool:
         h = homological_degree(u)
@@ -137,8 +138,8 @@ def verify_d_squared(p: DgParams, qcut: int, samples: int = 50, seed: int = 0,
 
     for xexp, omask in ring_monomials(p.n, p.m, qcut + p.n * (p.n - 1)):
         dd: dict[Monomial, int] = {}
-        for (xe, om), c in _d_ring(images, xexp, omask).items():
-            accumulate(dd, ((key, c * cc) for key, cc in _d_ring(images, xe, om).items()))
+        for (xe, om), c in _d_ring(table, xexp, omask):
+            accumulate(dd, ((key, c * cc) for key, cc in _d_ring(table, xe, om)))
         if dd:
             return False
     gens = ([E.x(p.n, p.m, i) for i in range(1, p.n + 1)]
@@ -163,72 +164,67 @@ def verify_d_squared(p: DgParams, qcut: int, samples: int = 50, seed: int = 0,
 # q-shift of -2 l(p) per permutation.  Homology is computed exactly on the
 # polynomial side and aggregated over permutation lengths.
 
-def _poly_d_matrix(p: DgParams, domain, codomain_index):
-    """Matrix of d_N from the given monomials to the indexed target monomials."""
-    images = _generator_images(p)
+def _column_weights(n: int, bits: int) -> list[int]:
+    """Columns of a d_N block are sorted by the x-exponents from x_n down to
+    x_1, then the odd mask, packed into the int key sum(map(mul, xexp,
+    weights)) + omask (`bits`-bit digits) while exponents are below 2**bits;
+    an x-shift adds keys.  In this lex order d(w_i) = +-h_{L+1-i}(x_1..x_i),
+    L = m + N, leads with x_i^{L+1-i} (i <= L + 1); coprime leads make the
+    images a Groebner basis and a regular sequence (Eisenbud, ch. 15, 17).
+    It fills in little: the echelons of `homology --n 4 --m 0 --N 4 --qcut
+    12` hold 0.50 M nonzeros, 1.76 M in monomials_at order."""
+    return [1 << (n + bits * i) for i in range(n)]
+
+
+def _poly_d_matrix(p: DgParams, domain, codomain) -> list[dict[int, int]]:
+    """Sparse rows {column: c} of d_N from the domain monomials to the
+    codomain monomials, columns in _column_weights order.  d_N is homogeneous,
+    so every exponent met is at most the codomain's largest x-degree."""
+    weights = _column_weights(p.n, max(sum(xexp) for xexp, _ in codomain).bit_length())
+    index = {k: j for j, k in enumerate(sorted(
+        sum(map(mul, xexp, weights)) + omask for xexp, omask in codomain))}
+    table = _generator_images(p)
+    shifted = {omask: [(sum(map(mul, xe, weights)) + mask, c) for xe, mask, c in table[omask]]
+               for omask in {omask for _, omask in domain}}
     rows = []
     for xexp, omask in domain:
-        vec = [0] * len(codomain_index)
-        for key, c in _d_ring(images, xexp, omask).items():
-            vec[codomain_index[key]] = c
-        rows.append(vec)
+        base = sum(map(mul, xexp, weights))
+        rows.append({index[base + k]: c for k, c in shifted[omask]})
     return rows
-
-
-def poly_homology_at(p: DgParams, q: int, h: int,
-                     rank_cache: dict | None = None) -> int:
-    """Rational homology dimension of the polynomial-side complex at
-    q-degree q, homological degree h."""
-    here = monomials_at(p.n, p.m, q, 2 * h)
-    if not here:
-        return 0
-    return len(here) - _rank_d(p, q, h, rank_cache) \
-        - _rank_d(p, q - 2 * p.N, h + 1, rank_cache)
-
-
-def _rank_d(p: DgParams, q: int, h: int, rank_cache: dict | None) -> int:
-    """Rank of the differential out of the (q, h) component."""
-    if h <= 0 or h > p.n:
-        return 0
-    if rank_cache is not None and (q, h) in rank_cache:
-        return rank_cache[(q, h)]
-    here = monomials_at(p.n, p.m, q, 2 * h)
-    below = monomials_at(p.n, p.m, q + 2 * p.N, 2 * (h - 1))
-    r = 0
-    if here and below:
-        index = {mono: i for i, mono in enumerate(below)}
-        r = rank(_poly_d_matrix(p, here, index))
-    if rank_cache is not None:
-        rank_cache[(q, h)] = r
-    return r
 
 
 def homology_ranks(p: DgParams, qcut: int) -> dict[tuple[int, int], int]:
     """Homology dimensions of the full dg-algebra per (qdeg, hdeg), for
     q <= qcut; complexes are finite per Q = q + 2N.h so no truncation margin
-    is needed beyond enumerating the relevant Q values."""
+    is needed beyond enumerating the relevant Q values.  The caches live for
+    one call: each polynomial-side block is enumerated, and each d_N block
+    ranked, once."""
+    @cache
+    def block(q: int, h: int) -> list[Monomial]:
+        return monomials_at(p.n, p.m, q, 2 * h)
+
+    @cache
+    def rank_d(q: int, h: int) -> int:
+        """Rank of d_N out of the (q, h) block (0 if it or its target is empty)."""
+        here, below = block(q, h), block(q + 2 * p.N, h - 1)
+        return rank(_poly_d_matrix(p, here, below), len(below)) if here and below else 0
+
+    def poly_homology_at(q: int, h: int) -> int:
+        """Rational homology of the polynomial-side complex at (q, h)."""
+        here = block(q, h)
+        return len(here) - rank_d(q, h) - rank_d(q - 2 * p.N, h + 1) if here else 0
+
     counts = perms_by_length(p.n)
     table: dict[tuple[int, int], int] = {}
-    cache: dict[tuple[int, int], int] = {}
-    rank_cache: dict[tuple[int, int], int] = {}
     shift = p.n * (p.n - 1)  # largest 2 l(perm)
+    odd = sorted(odd_degree(p.m, 1 << i) for i in range(p.n))  # h odd factors: q >= sum(odd[:h])
     for h in range(0, p.n + 1):
-        for q in range(_min_poly_q(p.n, p.m, h) - shift, qcut + 1):
-            total = 0
-            for plen, nperms in counts.items():
-                key = (q + 2 * plen, h)
-                if key not in cache:
-                    cache[key] = poly_homology_at(p, key[0], key[1], rank_cache)
-                total += nperms * cache[key]
+        for q in range(sum(odd[:h]) - shift, qcut + 1):
+            total = sum(nperms * poly_homology_at(q + 2 * plen, h)
+                        for plen, nperms in counts.items())
             if total:
                 table[(q, h)] = total
     return table
-
-
-def _min_poly_q(n: int, m: int, h: int) -> int:
-    """Least q-degree of a polynomial-side monomial with h odd factors."""
-    degs = sorted(odd_degree(m, 1 << i) for i in range(n))
-    return sum(degs[:h]) if h else 0
 
 
 def nilhecke_cyclotomic_oracle(n: int, M: int, qcut: int) -> dict[int, int]:

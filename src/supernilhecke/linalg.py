@@ -13,7 +13,6 @@ in Fractions, reporting non-integral solutions to the caller.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import compress
 from math import gcd
 
 
@@ -56,12 +55,18 @@ def _primitive(row: dict[int, int]) -> int:
     return content
 
 
-def rank(matrix: list[list[int]]) -> int:
-    """Rank over the rationals of a dense integer matrix (list of rows)."""
-    rows = [{j: row[j] for j in compress(range(len(row)), row)} for row in matrix]
+def _check_columns(rows: list[dict[int, int]], ncols: int) -> None:
+    if any(row and (min(row) < 0 or max(row) >= ncols) for row in rows):
+        raise ValueError("column index out of range")
+
+
+def rank(rows: list[dict[int, int]], ncols: int) -> int:
+    """Rank over the rationals of an integer matrix given as sparse rows
+    {column: value}, columns in range(ncols); the rows are not modified."""
+    _check_columns(rows, ncols)
     pivots: dict[int, dict[int, int]] = {}
     for row in sorted(filter(None, rows), key=len):
-        row, _ = _reduce(row, pivots)
+        row, _ = _reduce({c: v for c, v in row.items() if v}, pivots)
         if row:
             _primitive(row)
             pivots[min(row)] = row
@@ -73,8 +78,7 @@ def sparse_det(rows: list[dict[int, int]], size: int) -> int:
     {column: value}, columns in range(size)."""
     if len(rows) != size:
         raise ValueError("matrix is not square")
-    if any(not 0 <= c < size for r in rows for c in r):
-        raise ValueError("column index out of range")
+    _check_columns(rows, size)
     # Each reduction multiplies the determinant by its scale, and dividing a
     # stored row by its content divides it; the stored rows are triangular
     # up to the permutation row -> lead column.

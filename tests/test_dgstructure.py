@@ -6,8 +6,9 @@ from supernilhecke import dgstructure
 from supernilhecke.algebra import AlgebraElement, basis, random_element
 from supernilhecke.dgstructure import (
     DgParams, apply_dN, derivation_extend, generator_image, homological_degree,
-    homology_ranks, nilhecke_cyclotomic_oracle, verify_d_squared,
+    homology_ranks, nilhecke_cyclotomic_oracle, odd_images, verify_d_squared,
 )
+from supernilhecke.gradedseries import nilhecke_cyclotomic_grdim
 from supernilhecke.superring import (
     SuperPolynomial, accumulate, labeled_omega, mask_to_indices,
 )
@@ -128,6 +129,18 @@ def test_acyclic_when_strands_exceed_level():
             assert homology_ranks(DgParams(n, m, N), 8) == {}
 
 
+def test_n4_homology_is_the_cyclotomic_nilhecke_quotient():
+    # L = m + N = 4 = n: concentrated in degree 0, with the closed form's q-totals
+    table = homology_ranks(DgParams(4, 0, 4), 12)
+    assert table and all(h == 0 for (_, h) in table)
+    assert {q: d for (q, _), d in table.items()} == nilhecke_cyclotomic_grdim(4, 4, 12)
+
+
+def test_n4_homology_vanishes_below_the_level():
+    # L = m + N = 3 < n = 4
+    assert homology_ranks(DgParams(4, -1, 4), 12) == {}
+
+
 def test_monotone_window():
     p = DgParams(2, -1, 3)
     small = homology_ranks(p, 6)
@@ -156,31 +169,40 @@ def test_split_complex_matches_direct_matrices():
             rank_out = 0
             if h > 0 and below:
                 idx = {k: i for i, k in enumerate(below)}
-                rows = []
-                for key in monos:
-                    img = apply_dN(p, E(n, m, {key: 1}))
-                    vec = [0] * len(below)
-                    for k2, c in img.terms.items():
-                        vec[idx[k2]] = c
-                    rows.append(vec)
-                rank_out = rank(rows)
+                rows = [{idx[k2]: c for k2, c in apply_dN(p, E(n, m, {key: 1})).terms.items()}
+                        for key in monos]
+                rank_out = rank(rows, len(below))
             above = bydeg.get((q - 2 * N, h + 1), [])
             rank_in = 0
             if above:
                 idx = {k: i for i, k in enumerate(monos)}
-                rows = []
-                for key in above:
-                    img = apply_dN(p, E(n, m, {key: 1}))
-                    vec = [0] * len(monos)
-                    for k2, c in img.terms.items():
-                        vec[idx[k2]] = c
-                    rows.append(vec)
-                rank_in = rank(rows)
+                rows = [{idx[k2]: c for k2, c in apply_dN(p, E(n, m, {key: 1})).terms.items()}
+                        for key in above]
+                rank_in = rank(rows, len(monos))
             d = len(monos) - rank_out - rank_in
             if d:
                 direct[(q, h)] = d
         split = {k: v for k, v in homology_ranks(p, qcut).items()}
         assert direct == split
+
+
+def test_poly_d_matrix_columns_in_lex_order():
+    # the packed column keys index each block in (xexp[::-1], omask) order
+    from supernilhecke.dgstructure import _d_ring, _generator_images, _poly_d_matrix
+    from supernilhecke.superring import monomials_at
+    for n, m, N in ((1, -1, 3), (2, -1, 3), (3, 0, 3), (3, -2, 6), (4, -1, 4)):
+        p, blocks = DgParams(n, m, N), 0
+        table = _generator_images(p)
+        for q in range(-4, 14):
+            for h in range(1, n + 1):
+                here, below = monomials_at(n, m, q, 2 * h), monomials_at(n, m, q + 2 * N, 2 * h - 2)
+                if here and below:
+                    order = sorted(below, key=lambda mono: (mono[0][::-1], mono[1]))
+                    index = {mono: j for j, mono in enumerate(order)}
+                    want = [{index[key]: c for key, c in _d_ring(table, *mono)} for mono in here]
+                    assert _poly_d_matrix(p, here, below) == want, (n, m, N, q, h)
+                    blocks += 1
+        assert blocks
 
 
 def test_oracle_small_values():
@@ -205,10 +227,10 @@ def test_oracle_total_dimension():
 def test_apply_dN_uses_fresh_images():
     # the generator images are built once per parameter set and shared; the
     # result must equal an extension by freshly computed images, every call
-    from supernilhecke.dgstructure import _generator_images, derivation_extend
+    from supernilhecke.dgstructure import _generator_images
     for n, m, N in ((2, -1, 2), (3, 0, 1), (3, -2, 3)):
         p = DgParams(n, m, N)
-        fresh = {i: generator_image(p, i) for i in range(1, n + 1)}
+        fresh = odd_images(n, {i: generator_image(p, i) for i in range(1, n + 1)})
         keys = [k for k in basis(n, m, 6) if k[1]][:12]
         assert keys
         for key in keys:
@@ -261,7 +283,7 @@ def test_derivation_extend_matches_ring_products(n, m):
     elements += [E.monomial(n, m, (1,) * n, omask, top) for omask in range(1, 1 << n)]
     for images in image_sets:
         for u in elements:
-            assert derivation_extend(n, m, images, u) == \
+            assert derivation_extend(n, m, odd_images(n, images), u) == \
                 _extend_by_ring_products(n, m, images, u), (n, m, u)
 
 

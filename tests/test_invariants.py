@@ -192,14 +192,14 @@ def _invariant_dimension(n, m, q, lam):
     if not monos:
         return 0
     index = {mono: i for i, mono in enumerate(monos)}
-    stacked = [[0] * ((n - 1) * len(monos)) for _ in monos]
+    stacked = [{} for _ in monos]
     for j, mono in enumerate(monos):
         f = SuperPolynomial(n, m, {mono: 1})
         for i in range(1, n):
             img = apply_simple(i, f) - f
             for k, c in img.terms.items():
                 stacked[j][(i - 1) * len(monos) + index[k]] = c
-    return len(monos) - rank(stacked)
+    return len(monos) - rank(stacked, (n - 1) * len(monos))
 
 
 def test_invariant_basis_at_lambda():

@@ -104,18 +104,25 @@ def test_rank_matches_bareiss_on_random_matrices():
         rows, cols = rng.randrange(1, 9), rng.randrange(1, 9)
         m = random_matrix(rng, rows, cols, rng.choice((0.2, 0.5, 1.0)))
         m = degenerate(rng, m)
-        assert rank(m) == bareiss(m)[0], m
+        assert rank(sparse(m), len(m[0])) == bareiss(m)[0], m
 
 
 def test_rank_edge_shapes():
-    assert rank([]) == 0
-    assert rank([[]]) == 0
-    assert rank([[0, 0, 0]]) == 0
-    assert rank([[0], [0]]) == 0
-    assert rank([[0, 4, 0, -6]]) == 1
-    assert rank([[0], [3], [-5]]) == 1
-    assert rank([[2, 4], [3, 6]]) == 1
-    assert rank([[2, 3], [4, 5]]) == 2
+    assert rank(sparse([]), 0) == 0
+    assert rank(sparse([[]]), 0) == 0
+    assert rank(sparse([[0, 0, 0]]), 3) == 0
+    assert rank(sparse([[0], [0]]), 1) == 0
+    assert rank(sparse([[0, 4, 0, -6]]), 4) == 1
+    assert rank(sparse([[0], [3], [-5]]), 1) == 1
+    assert rank(sparse([[2, 4], [3, 6]]), 2) == 1
+    assert rank(sparse([[2, 3], [4, 5]]), 2) == 2
+    assert rank([{1: 0}, {0: 5, 2: 0}], 3) == 1  # zero values are no entries
+
+
+def test_rank_rejects_columns_out_of_range():
+    for rows, ncols in (([{3: 1}], 3), ([{0: 1}, {-1: 2}], 2), ([{0: 1}], 0)):
+        with pytest.raises(ValueError):
+            rank(rows, ncols)
 
 
 def test_rank_without_unit_entries():
@@ -126,14 +133,14 @@ def test_rank_without_unit_entries():
         m = [[rng.choice((0, 2, -2, 3, -3, 4, 6, -9)) for _ in range(n + 1)]
              for _ in range(n)]
         m = degenerate(rng, m)
-        assert rank(m) == bareiss(m)[0], m
+        assert rank(sparse(m), len(m[0])) == bareiss(m)[0], m
 
 
 def test_rank_does_not_modify_its_input():
-    m = [[1, 2, 0], [3, 4, 5], [0, 1, 1]]
-    copy = [row[:] for row in m]
-    rank(m)
-    assert m == copy
+    rows = sparse([[1, 2, 0], [3, 4, 5], [0, 1, 1]])
+    copy = [dict(row) for row in rows]
+    rank(rows, 3)
+    assert rows == copy
 
 
 def test_sparse_det_matches_bareiss():
@@ -190,7 +197,7 @@ def test_against_sympy():
     for _ in range(60):
         rows, cols = rng.randrange(1, 7), rng.randrange(1, 7)
         m = degenerate(rng, random_matrix(rng, rows, cols, 0.6))
-        assert rank(m) == sympy.Matrix(m).rank()
+        assert rank(sparse(m), len(m[0])) == sympy.Matrix(m).rank()
         size = rng.randrange(1, 7)
         sq = random_matrix(rng, size, size, 0.7)
         assert sparse_det(sparse(sq), size) == sympy.Matrix(sq).det()
@@ -204,7 +211,7 @@ def test_rank_on_larger_sparse_sign_matrices():
         m = [[rng.choice((1, -1, 1, -1, 2)) if rng.random() < 0.08 else 0
               for _ in range(cols)] for _ in range(rows)]
         m = degenerate(rng, m)
-        assert rank(m) == bareiss(m)[0]
+        assert rank(sparse(m), len(m[0])) == bareiss(m)[0]
 
 
 def test_solve_matches_dense_reference():
