@@ -249,23 +249,13 @@ def tau(u: AlgebraElement) -> AlgebraElement:
 
 # ---- bases -----------------------------------------------------------------
 
-def _xexp_iter(n: int, total_max: int):
-    """All exponent tuples with sum <= total_max."""
-    if n == 0:
-        yield ()
-        return
-    for s in range(total_max + 1):
-        yield from exponent_vectors(n, s)
-
-
 def ring_monomials(n: int, m: int, qmax: int) -> list[Monomial]:
     """All ring monomials (xexp, omask) with q-degree <= qmax, odd masks
-    ascending, then exponent sums ascending."""
+    ascending, then exponent sums ascending, then exponents in lex order."""
     out = []
     for omask in range(1 << n):
-        budget = qmax - odd_degree(m, omask)
-        if budget >= 0:
-            out.extend((xexp, omask) for xexp in _xexp_iter(n, budget // 2))
+        for s in range((qmax - odd_degree(m, omask)) // 2 + 1):
+            out.extend((xexp, omask) for xexp in exponent_vectors(n, s))
     return out
 
 
@@ -354,12 +344,10 @@ def tight_basis(n: int, m: int, qcut: int):
         if skel.is_zero():
             raise ArithmeticError("tight skeleton collapsed to zero (bug)")
         qs, _ = skel.bidegree()
-        budget = qcut - qs
-        if budget < 0:
-            continue
-        for xexp in _xexp_iter(n, budget // 2):
-            xmono = AlgebraElement.monomial(n, m, xexp, 0, symgroup.identity(n))
-            out.append(xmono * skel)
+        for s in range((qcut - qs) // 2 + 1):
+            for xexp in exponent_vectors(n, s):
+                xmono = AlgebraElement.monomial(n, m, xexp, 0, symgroup.identity(n))
+                out.append(xmono * skel)
     return out
 
 

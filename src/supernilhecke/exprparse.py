@@ -28,6 +28,9 @@ class Token:
     value: int | None = None
 
 
+_DIGITS = "0123456789"  # str.isdigit() would also take other scripts' digits
+
+
 def _lex(text: str) -> list[Token]:
     tokens: list[Token] = []
     i = 0
@@ -40,18 +43,18 @@ def _lex(text: str) -> list[Token]:
             tokens.append(Token("op", c, i))
             i += 1
             continue
-        if c.isdigit():
+        if c in _DIGITS:
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j] in _DIGITS:
                 j += 1
             tokens.append(Token("int", text[i:j], i, value=int(text[i:j])))
             i = j
             continue
         if c in "xwT":
             j = i + 1
-            if j >= len(text) or not text[j].isdigit():
+            if j >= len(text) or text[j] not in _DIGITS:
                 raise ParseError(f"generator '{c}' needs an index", i)
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j] in _DIGITS:
                 j += 1
             tokens.append(Token("gen", text[i:j], i, gen=(c, int(text[i + 1:j]))))
             i = j
@@ -61,7 +64,7 @@ def _lex(text: str) -> list[Token]:
     return tokens
 
 
-# AST nodes: ('int', v) | ('gen', kind, index, exponent-or-label-or-None)
+# AST nodes: ('int', v) | ('gen', kind, index, exponent-or-label-or-None, offset)
 #            ('neg', node) | ('sum', ((sign, node), ...)) | ('prod', (node, ...))
 # Sums and products are n-ary and a run of unary minus signs folds into one
 # 'neg', so only parentheses nest, and at most MAX_NESTING deep.
@@ -146,7 +149,7 @@ class _Parser:
                 if kind == "x" and exp < 0:
                     raise ParseError("negative x-powers are not in the ring",
                                      etok.offset)
-            return ("gen", kind, index, exp)
+            return ("gen", kind, index, exp, tok.offset)
         raise ParseError("expected a value", tok.offset)
 
 
@@ -182,24 +185,24 @@ def _evaluate(node, n: int, m: int, leaf):
 def _ring_leaf(node, n: int, m: int) -> SuperPolynomial:
     if node[0] == "int":
         return SuperPolynomial.const(n, m, node[1])
-    gen, index, exp = node[1], node[2], node[3]
+    _, gen, index, exp, offset = node
     if gen == "T":
-        raise ParseError("crossings are not ring elements", 0)
+        raise ParseError("crossings are not ring elements", offset)
     if not 1 <= index <= n:
-        raise ParseError(f"{gen}{index} out of range for n={n}", 0)
+        raise ParseError(f"{gen}{index} out of range for n={n}", offset)
     if gen == "x":
         return SuperPolynomial.x(n, m, index, 1 if exp is None else exp)
     if exp is None:
         return SuperPolynomial.w(n, m, index)
     if exp < m + 1:
-        raise ParseError(f"label {exp} below the minimal label {m + 1}", 0)
+        raise ParseError(f"label {exp} below the minimal label {m + 1}", offset)
     return labeled_omega(n, m, index, exp)
 
 
 def _algebra_leaf(node, n: int, m: int) -> AlgebraElement:
     if node[0] == "gen" and node[1] == "T":
         if not 1 <= node[2] <= n - 1:
-            raise ParseError(f"T{node[2]} out of range for n={n}", 0)
+            raise ParseError(f"T{node[2]} out of range for n={n}", node[4])
         return AlgebraElement.T(n, m, node[2])
     return AlgebraElement.from_poly(_ring_leaf(node, n, m))
 

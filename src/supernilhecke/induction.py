@@ -30,8 +30,8 @@ import functools
 from dataclasses import dataclass
 
 from . import symgroup
-from .algebra import AlgebraElement, TermKey
-from .superring import SuperPolynomial, accumulate
+from .algebra import AlgebraElement, TermKey, theta_dotted
+from .superring import accumulate
 
 
 def embed(u: AlgebraElement) -> AlgebraElement:
@@ -69,14 +69,8 @@ def _family(n1: int, m: int, a: int, p: int, odd: bool, plain: bool) -> AlgebraE
     on the odd side, in the plain family; W_a x_a^p, or G_a^p, in the dotted
     one, where G_a^q = T_n...T_1 x_1^q w_1 T_1...T_{a-1}."""
     q = 0 if plain else p
-    if odd:
-        mid = AlgebraElement.from_poly(
-            SuperPolynomial.x(n1, m, 1, q) * SuperPolynomial.w(n1, m, 1))
-        gen = (AlgebraElement.T_word(n1, m, tuple(range(1, n1))) * mid
-               * AlgebraElement.T_word(n1, m, tuple(range(a - 1, 0, -1))))
-    else:
-        gen = (AlgebraElement.T_word(n1, m, symgroup.coset_word(n1, a))
-               * AlgebraElement.x(n1, m, a, q))
+    gen = (AlgebraElement.T_word(n1, m, symgroup.coset_word(n1, a))
+           * (theta_dotted(n1, m, a, q) if odd else AlgebraElement.x(n1, m, a, q)))
     return AlgebraElement.x(n1, m, n1, p) * gen if plain else gen
 
 

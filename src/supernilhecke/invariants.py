@@ -94,26 +94,12 @@ def strict_partitions(n: int):
 
 
 def _symmetric_monomial_basis(n: int, m: int, d: int) -> list[SuperPolynomial]:
-    """Monomial symmetric polynomials of degree d in n variables."""
-    basis = []
-    for part in _partitions_into(d, n):
-        exps = set(itertools.permutations(part))
-        poly = SuperPolynomial(n, m, {(e, 0): 1 for e in exps})
-        basis.append(poly)
-    return basis
-
-
-def _partitions_into(d: int, parts: int):
-    """Weakly decreasing tuples of length `parts` summing to d."""
-    def gen(remaining, maxpart, slots):
-        if slots == 0:
-            if remaining == 0:
-                yield ()
-            return
-        for first in range(min(remaining, maxpart), -1, -1):
-            for rest in gen(remaining - first, first, slots - 1):
-                yield (first,) + rest
-    yield from gen(d, d, parts)
+    """Monomial symmetric polynomials of degree d in n variables: the
+    exponent vectors of total d grouped into S_n-orbits by sorted exponent."""
+    orbits: dict[tuple[int, ...], dict] = {}
+    for e in exponent_vectors(n, d):
+        orbits.setdefault(tuple(sorted(e)), {})[(e, 0)] = 1
+    return [SuperPolynomial(n, m, terms) for terms in orbits.values()]
 
 
 def decompose_even_over_schubert(f: SuperPolynomial) -> dict[Perm, SuperPolynomial]:
@@ -136,7 +122,7 @@ def decompose_even_over_schubert(f: SuperPolynomial) -> dict[Perm, SuperPolynomi
                 continue
             for sym in _symmetric_monomial_basis(n, m, rem):
                 columns.append((p, sym * schuberts[p], sym))
-        rows = sorted(exponent_vectors(n, d))
+        rows = list(exponent_vectors(n, d))
         row_index = {e: i for i, e in enumerate(rows)}
         matrix: list[dict[int, int]] = [{} for _ in rows]
         for j, (_, prod, _) in enumerate(columns):

@@ -1,14 +1,15 @@
 """
 Exact integer/rational linear algebra.
 
-Every entry point is built on one sparse reduction step, `_reduce`: a row
-{column: value} is reduced against echelon rows keyed by their least column,
-by fraction-free updates scaled by a gcd, so every result is exact over the
-rationals and no entry ever becomes a fraction.  `rank` feeds the rows of a
-matrix sparsest first, `sparse_det` turns the leads and the scalings into a
-determinant, the streaming `IntEchelon` serves incremental spanning-rank
-checks with early exit, and `solve` back-substitutes the echelon of [A | b]
-in Fractions, reporting non-integral solutions to the caller.
+Every entry point is built on one insert step, `_insert`: a row
+{column: value} is reduced (`_reduce`) against echelon rows keyed by their
+least column, by fraction-free updates scaled by a gcd, and its remainder is
+stored primitive, so every result is exact over the rationals and no entry
+ever becomes a fraction.  `rank` feeds the rows of a matrix sparsest first,
+`sparse_det` turns the leads and the scalings into a determinant, the
+streaming `IntEchelon` serves incremental spanning-rank checks with early
+exit, and `solve` back-substitutes the echelon of [A | b] in Fractions,
+reporting non-integral solutions to the caller.
 """
 from __future__ import annotations
 
@@ -60,16 +61,26 @@ def _check_columns(rows: list[dict[int, int]], ncols: int) -> None:
         raise ValueError("column index out of range")
 
 
+def _insert(row: dict[int, int], pivots: dict[int, dict[int, int]]):
+    """Reduce a zero-free copy of the row against `pivots` and store the
+    remainder, made primitive, under its lead column.  Returns (lead, content,
+    scale) of that remainder; lead is None if the row lay in the span."""
+    row, scale = _reduce({c: v for c, v in row.items() if v}, pivots)
+    if not row:
+        return None, 0, scale
+    lead = min(row)
+    content = _primitive(row)
+    pivots[lead] = row
+    return lead, content, scale
+
+
 def rank(rows: list[dict[int, int]], ncols: int) -> int:
     """Rank over the rationals of an integer matrix given as sparse rows
     {column: value}, columns in range(ncols); the rows are not modified."""
     _check_columns(rows, ncols)
     pivots: dict[int, dict[int, int]] = {}
     for row in sorted(filter(None, rows), key=len):
-        row, _ = _reduce({c: v for c, v in row.items() if v}, pivots)
-        if row:
-            _primitive(row)
-            pivots[min(row)] = row
+        _insert(row, pivots)
     return len(pivots)
 
 
@@ -86,13 +97,11 @@ def sparse_det(rows: list[dict[int, int]], size: int) -> int:
     perm = [0] * size
     num = den = 1
     for i in sorted(range(size), key=lambda i: len(rows[i])):
-        row, scale = _reduce({c: v for c, v in rows[i].items() if v}, pivots)
-        if not row:
+        lead, content, scale = _insert(rows[i], pivots)
+        if lead is None:
             return 0
-        lead = min(row)
-        num *= _primitive(row) * row[lead]
+        num *= content * pivots[lead][lead]
         den *= scale
-        pivots[lead] = row
         perm[i] = lead
     return _perm_sign(perm) * num // den
 
@@ -129,12 +138,7 @@ class IntEchelon:
     def add(self, row: dict[int, int]) -> bool:
         """Reduce a sparse row {column: value} against the echelon; returns
         True if rank grew."""
-        row, _ = _reduce({c: v for c, v in row.items() if v}, self.rows)
-        if not row:
-            return False
-        _primitive(row)
-        self.rows[min(row)] = row
-        return True
+        return _insert(row, self.rows)[0] is not None
 
 
 def solve(rows: list[dict[int, int]], rhs: list[int],
@@ -145,18 +149,13 @@ def solve(rows: list[dict[int, int]], rhs: list[int],
     A need not be square; a particular solution is returned with free
     variables set to zero.
     """
+    if len(rhs) != len(rows):
+        raise ValueError("rhs length differs from the number of rows")
+    _check_columns(rows, ncols)
     pivots: dict[int, dict[int, int]] = {}
-    for r, b in zip(rows, rhs):
-        row = {c: v for c, v in r.items() if v}
-        if b:
-            row[ncols] = b
-        row, _ = _reduce(row, pivots)
-        if row:
-            lead = min(row)
-            if lead == ncols:
-                return None
-            _primitive(row)
-            pivots[lead] = row
+    for row, b in zip(rows, rhs):
+        if _insert({**row, ncols: b}, pivots)[0] == ncols:
+            return None
     x = [Fraction(0)] * ncols
     for lead in sorted(pivots, reverse=True):
         row = pivots[lead]

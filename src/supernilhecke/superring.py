@@ -359,13 +359,9 @@ def complete_h(n: int, m: int, j: int, lo: int, hi: int) -> SuperPolynomial:
         return SuperPolynomial.zero(n, m)
     if not 1 <= lo <= hi <= n:
         raise ValueError(f"bad variable range {lo}..{hi} for n={n}")
-    terms: dict[Monomial, int] = {}
-    for combo in itertools.combinations_with_replacement(range(lo, hi + 1), j):
-        e = [0] * n
-        for i in combo:
-            e[i - 1] += 1
-        terms[(tuple(e), 0)] = terms.get((tuple(e), 0), 0) + 1
-    return SuperPolynomial(n, m, terms)
+    left, right = (0,) * (lo - 1), (0,) * (n - hi)
+    return SuperPolynomial(n, m, {(left + e + right, 0): 1
+                                  for e in exponent_vectors(hi - lo + 1, j)})
 
 
 def elementary_e(n: int, m: int, j: int, lo: int, hi: int) -> SuperPolynomial:

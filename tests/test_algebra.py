@@ -17,7 +17,7 @@ from supernilhecke.induction import (
 )
 from supernilhecke.invariants import schubert
 from supernilhecke.linalg import IntEchelon, sparse_det
-from supernilhecke.superring import SuperPolynomial, apply_simple, demazure
+from supernilhecke.superring import SuperPolynomial, apply_simple, demazure, monomials_at
 
 E = AlgebraElement
 
@@ -558,3 +558,18 @@ def test_parse_repr_round_trip_hypothesis():
             assert evaluate_algebra(parse(repr(u)), u.n, u.m) == u, repr(u)
 
     check()
+
+
+def test_ring_monomials_list_each_bidegree_in_the_documented_order():
+    # Odd masks ascending, then exponent sums ascending, then lex; as a set,
+    # the monomials of every bidegree (q, lam) with q <= qmax.
+    for n in range(0, 5):
+        for m in (-2, -1, 0, 1):
+            qmin = sum(min(0, 2 * (m + 1 - i)) for i in range(1, n + 1))
+            for qmax in range(-8, 9):
+                got = ring_monomials(n, m, qmax)
+                want = {mon for q in range(qmin, qmax + 1)
+                        for lam in range(0, 2 * n + 1, 2)
+                        for mon in monomials_at(n, m, q, lam)}
+                assert got == sorted(want, key=lambda mon: (mon[1], sum(mon[0]), mon[0])), \
+                    (n, m, qmax)

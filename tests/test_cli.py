@@ -215,6 +215,23 @@ def test_parse_error_offsets():
     assert err.value.offset == 5
 
 
+@pytest.mark.parametrize("text, offset", [
+    ("x1*x5", 3),            # index out of range
+    ("x1 + T7", 5),
+    ("2*w1^-9", 2),          # label below the minimal one
+    ("x1*T1", 3),            # a crossing where a ring element is needed
+    ("\u0663", 0),           # digits other than 0-9 are not numbers
+    ("x1 + x\u0662", 5),
+    ("x\u00b2", 0),
+    ("x1\u00b2", 2),
+])
+def test_parse_and_elaboration_errors_report_their_offset(text, offset):
+    evaluate = evaluate_ring if "T1" in text else evaluate_algebra
+    with pytest.raises(ParseError) as err:
+        evaluate(parse(text), 2, -1)
+    assert err.value.offset == offset
+
+
 def test_verify_failure_exit_code(capsys, monkeypatch):
     import supernilhecke.cli as cli
     monkeypatch.setitem(

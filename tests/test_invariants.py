@@ -5,13 +5,13 @@ import pytest
 
 from supernilhecke import symgroup as sg
 from supernilhecke.invariants import (
-    Superpartition, decompose_over_invariants, eps_sign,
+    Superpartition, _symmetric_monomial_basis, decompose_over_invariants, eps_sign,
     invariant_basis_at_lambda, is_invariant, recombine_over_invariants,
     schubert, schur_super, schur_zero, schur_zero_product, strict_partitions,
 )
 from supernilhecke.linalg import IntEchelon, rank
 from supernilhecke.superring import (
-    SuperPolynomial, apply_simple, complete_h, labeled_omega,
+    SuperPolynomial, apply_simple, complete_h, exponent_vectors, labeled_omega,
 )
 
 
@@ -263,3 +263,24 @@ def test_invariant_ring_graded_rank_product_formula():
             want = series.coefficient(q, lam, k & 1)
             got = _invariant_dimension(n, m, q, lam)
             assert got == want, (q, lam, got, want)
+
+
+def _partition_count(d, parts):
+    """Partitions of d into at most `parts` parts, i.e. with parts <= `parts`."""
+    ways = [1] + [0] * d
+    for part in range(1, parts + 1):
+        for s in range(part, d + 1):
+            ways[s] += ways[s - part]
+    return ways[d]
+
+
+def test_symmetric_monomial_basis_partitions_the_exponent_vectors():
+    for n in range(1, 5):
+        for d in range(7):
+            basis = _symmetric_monomial_basis(n, -1, d)
+            assert all(is_invariant(f) for f in basis), (n, d)
+            supports = [set(f.terms) for f in basis]
+            covered = set().union(*supports)
+            assert sum(map(len, supports)) == len(covered), (n, d)
+            assert covered == {(e, 0) for e in exponent_vectors(n, d)}, (n, d)
+            assert len(basis) == _partition_count(d, n), (n, d)

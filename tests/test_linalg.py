@@ -255,6 +255,17 @@ def test_solve_edge_cases():
     assert rows == [{0: 1, 1: 1}]
 
 
+@pytest.mark.parametrize("rows, rhs", [
+    ([{2: 1}], [0]),            # column 2 is the slot of the rhs
+    ([{-1: 1}], [1]),
+    ([{0: 1}, {1: 1}], [1]),    # fewer rhs entries than rows
+    ([{0: 1}], [1, 2]),
+])
+def test_solve_rejects_bad_shapes(rows, rhs):
+    with pytest.raises(ValueError):
+        solve(rows, rhs, 2)
+
+
 def test_int_echelon_matches_bareiss_on_shuffled_sparse_rows():
     rng = random.Random(1873)
     full = 0

@@ -421,3 +421,25 @@ def test_twist_table_matches_reference_hypothesis():
         check_twisted_relations(f, g)
 
     check()
+
+
+def _complete_h_recursive(n, m, j, lo, hi):
+    """Reference: h_j(x_lo..x_hi) = sum_k x_hi^k h_{j-k}(x_lo..x_{hi-1})."""
+    if lo > hi:
+        return SuperPolynomial.one(n, m) if j == 0 else SuperPolynomial.zero(n, m)
+    acc = SuperPolynomial.zero(n, m)
+    for k in range(j + 1):
+        acc = acc + SuperPolynomial.x(n, m, hi, k) * _complete_h_recursive(n, m, j - k, lo, hi - 1)
+    return acc
+
+
+def test_complete_h_matches_recursive_reference():
+    for n in range(1, 6):
+        for lo in range(1, n + 1):
+            for hi in range(lo, n + 1):
+                for j in range(-1, 7):
+                    assert complete_h(n, -1, j, lo, hi) == \
+                        _complete_h_recursive(n, -1, j, lo, hi), (n, lo, hi, j)
+    for lo, hi in ((0, 2), (2, 1), (1, 4)):
+        with pytest.raises(ValueError):
+            complete_h(3, -1, 2, lo, hi)
