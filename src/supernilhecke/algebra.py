@@ -502,11 +502,27 @@ def basis_at_bidegree(n: int, m: int, q: int, lam: int) -> list[TermKey]:
 
 def cyclotomic_grdim(n: int, N: int, qcut: int) -> dict[tuple[int, int, int], int]:
     """Graded dimension of the quotient by the two-sided ideal (x_1^N), at
-    minimal label parameter -1, per (q, lambda, parity) with q <= qcut."""
+    minimal label parameter -1, per (q, lambda, parity) with q <= qcut.
+
+    Only lambda = 0 blocks are ranked, each once.  A generator
+    G_{r,p} = T_r . x_1^N . T_p of spanning_rank_table has no odd factor, so
+    _merge_masks(S, 0) = (+1, S): the row x^a w^S . G_{r,p} of
+    u = x^a w^S T_r lies in the columns of odd mask S, rows for distinct S
+    land on disjoint column sets, and a block's rank is the sum of its
+    mask-S components' ranks.  x^a w^S T_r <-> x^a T_r is a bijection that
+    lowers every degree by odd_degree(-1, S) and carries the mask-S rows to
+    exactly the rows of the lambda = 0 block at q - odd_degree(-1, S).  So the
+    ideal is Lambda(w) (x) its lambda = 0 part; odd degrees are at least
+    -n(n+1), so those blocks reach q up to qcut + n(n+1).
+    """
     m = -1
     if n == 0:
         return {(0, 0, 0): 1} if qcut >= 0 else {}
     dims = basis_counts(n, m, qcut)
-    ideal = spanning_rank_table(n, m, AlgebraElement.x(n, m, 1, N), dims)
-    quotient = {key: d - ideal.get(key, 0) for key, d in dims.items()}
+    shifts = {key: [key[0] - odd_degree(m, s) for s in range(1 << n)
+                    if 2 * s.bit_count() == key[1]] for key in dims}
+    rank0 = spanning_rank_table(n, m, AlgebraElement.x(n, m, 1, N),
+                                sorted({(q, 0, 0) for qs in shifts.values() for q in qs}))
+    quotient = {key: d - sum(rank0.get((q, 0, 0), 0) for q in shifts[key])
+                for key, d in dims.items()}
     return {key: d for key, d in quotient.items() if d}

@@ -259,12 +259,16 @@ def cyclotomic_grdim_closed_form(n: int, N: int, qcut: int) -> dict[Key, int]:
     """Graded dimension of the cyclotomic quotient A_n / (x_1^N) at m = -1
     per (q, lambda, parity) up to qcut, as grdim NH_n^N . prod_{i=1..n}
     (1 + pi lam^2 q^{-2i}): the quotient measured as NH_n^N (x)
-    Lambda(w_1..w_n).  A checked conjecture, not a theorem: it equals
-    algebra.cyclotomic_grdim key by key at (n, N, qcut) = (1, 1, 12),
-    (1, 4, 12), (2, 1, 16), (2, 2, 16), (2, 4, 12), (2, 5, 22), (3, 1, 8),
-    (3, 2, 6), (3, 3, 6), (3, 4, 0), (3, 5, -4) and (4, 4, -12).  The
-    factors lower q by at most n(n+1), so NH_n^N is taken that far past
-    qcut."""
+    Lambda(w_1..w_n).  The product factor follows from the mask
+    decomposition in algebra.cyclotomic_grdim: the ideal is Lambda(w) (x) its
+    lambda = 0 part, w_i having q-degree -2i at m = -1.  What stays a check
+    is the lambda = 0 part, nilhecke_cyclotomic_grdim, against
+    dgstructure.nilhecke_cyclotomic_oracle, which ranks those same blocks.
+    The whole table equals algebra.cyclotomic_grdim key by key at
+    (n, N, qcut) = (1, 1, 12), (1, 4, 12), (2, 1, 16), (2, 2, 16), (2, 4, 12),
+    (2, 5, 22), (3, 1, 8), (3, 2, 6), (3, 3, 6), (3, 4, 0), (3, 5, -4),
+    (4, 4, -12) and (4, 4, -8).  The factors lower q by at most n(n+1), so
+    NH_n^N is taken that far past qcut."""
     nh = nilhecke_cyclotomic_grdim(n, N, qcut + n * (n + 1))
     acc = GradedDim(min(nh, default=0), None, {(q, 0, 0): c for q, c in nh.items()})
     for i in range(1, n + 1):

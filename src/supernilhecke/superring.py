@@ -355,10 +355,10 @@ def demazure_perm(p: Perm, f: SuperPolynomial) -> SuperPolynomial:
 
 def complete_h(n: int, m: int, j: int, lo: int, hi: int) -> SuperPolynomial:
     """Complete homogeneous symmetric polynomial h_j in x_lo..x_hi."""
-    if j < 0:
-        return SuperPolynomial.zero(n, m)
     if not 1 <= lo <= hi <= n:
         raise ValueError(f"bad variable range {lo}..{hi} for n={n}")
+    if j < 0:
+        return SuperPolynomial.zero(n, m)
     left, right = (0,) * (lo - 1), (0,) * (n - hi)
     return SuperPolynomial(n, m, {(left + e + right, 0): 1
                                   for e in exponent_vectors(hi - lo + 1, j)})
@@ -366,10 +366,10 @@ def complete_h(n: int, m: int, j: int, lo: int, hi: int) -> SuperPolynomial:
 
 def elementary_e(n: int, m: int, j: int, lo: int, hi: int) -> SuperPolynomial:
     """Elementary symmetric polynomial e_j in x_lo..x_hi (zero for j too big)."""
-    if j < 0 or j > hi - lo + 1:
-        return SuperPolynomial.zero(n, m)
     if not 1 <= lo <= hi <= n:
         raise ValueError(f"bad variable range {lo}..{hi} for n={n}")
+    if j < 0 or j > hi - lo + 1:
+        return SuperPolynomial.zero(n, m)
     terms: dict[Monomial, int] = {}
     for combo in itertools.combinations(range(lo, hi + 1), j):
         e = [0] * n

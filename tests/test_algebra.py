@@ -268,6 +268,24 @@ def test_cyclotomic_grdim():
     assert sum(t.values()) == 4  # x-powers 0,1 times 1, w_1
 
 
+def full_span_quotient(n, N, qcut):
+    """The quotient by (x_1^N) with every (q, lambda, parity) block ranked
+    by spanning_rank_table, no mask decomposition."""
+    m = -1
+    dims = basis_counts(n, m, qcut)
+    ideal = spanning_rank_table(n, m, E.x(n, m, 1, N), dims)
+    return {key: d - ideal.get(key, 0) for key, d in dims.items()
+            if d != ideal.get(key, 0)}
+
+
+def test_cyclotomic_grdim_matches_full_span():
+    cases = [(n, N, qcut) for n in (1, 2) for N in range(6)
+             for qcut in (-8, -2, 4, 10, 16, 22)]
+    cases += [(3, N, qcut) for N in range(6) for qcut in (-10, -4, 0)]
+    for n, N, qcut in cases:
+        assert cyclotomic_grdim(n, N, qcut) == full_span_quotient(n, N, qcut), (n, N, qcut)
+
+
 def test_idempotent_span_is_everything():
     for n in (1, 2):
         m = -1

@@ -443,3 +443,14 @@ def test_complete_h_matches_recursive_reference():
     for lo, hi in ((0, 2), (2, 1), (1, 4)):
         with pytest.raises(ValueError):
             complete_h(3, -1, 2, lo, hi)
+
+
+@pytest.mark.parametrize("fn", [complete_h, elementary_e])
+@pytest.mark.parametrize("j", [-1, 0, 2, 11])
+def test_symmetric_polynomial_range_checked_before_degree(fn, j):
+    # the variable range is checked first, whatever j is
+    for lo, hi in ((0, 9), (0, 2), (2, 1), (1, 4)):
+        with pytest.raises(ValueError, match="bad variable range"):
+            fn(3, -1, j, lo, hi)
+    got = fn(3, -1, j, 1, 3)
+    assert got.is_zero() == (j < 0 or (fn is elementary_e and j > 3))
