@@ -500,11 +500,39 @@ def basis_at_bidegree(n: int, m: int, q: int, lam: int) -> list[TermKey]:
             for xexp, omask in monomials_at(n, m, q + 2 * symgroup.length(perm), lam)]
 
 
+# (n, N) -> {q: rank}, filled and read only by nilhecke_ideal_ranks.
+_IDEAL_RANKS: dict[tuple[int, int], dict[int, int]] = {}
+
+
+def nilhecke_ideal_ranks(n: int, N: int, qcut: int) -> dict[int, int]:
+    """Rank of the lambda = 0 block of the two-sided ideal (x_1^N) at m = -1,
+    per q-degree q <= qcut of a nonempty lambda = 0 block: the nilHecke ideal
+    (x_1^N) of NH_n (Hoffnung-Lauda).  At n = 0 there is no x_1 and the ideal
+    is zero.
+
+    A block's rank is a pure function of (n, N, q), so each is ranked once per
+    process and kept in _IDEAL_RANKS; a call ranks the blocks that no earlier
+    call ranked, all in one spanning_rank_table call, and the table for one
+    qcut is the restriction of the table for any larger qcut.
+    """
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    if N < 0:
+        raise ValueError(f"N must be >= 0, got {N}")
+    m = -1
+    qs = [q for q, lam, _ in basis_counts(n, m, qcut) if lam == 0]
+    held = _IDEAL_RANKS.setdefault((n, N), {})
+    todo = [(q, 0, 0) for q in qs if q not in held]
+    ranks = spanning_rank_table(n, m, AlgebraElement.x(n, m, 1, N), todo) if todo and n else {}
+    held.update((key[0], ranks.get(key, 0)) for key in todo)
+    return {q: held[q] for q in qs}
+
+
 def cyclotomic_grdim(n: int, N: int, qcut: int) -> dict[tuple[int, int, int], int]:
     """Graded dimension of the quotient by the two-sided ideal (x_1^N), at
     minimal label parameter -1, per (q, lambda, parity) with q <= qcut.
 
-    Only lambda = 0 blocks are ranked, each once.  A generator
+    Only lambda = 0 blocks are ranked, by nilhecke_ideal_ranks.  A generator
     G_{r,p} = T_r . x_1^N . T_p of spanning_rank_table has no odd factor, so
     _merge_masks(S, 0) = (+1, S): the row x^a w^S . G_{r,p} of
     u = x^a w^S T_r lies in the columns of odd mask S, rows for distinct S
@@ -516,13 +544,8 @@ def cyclotomic_grdim(n: int, N: int, qcut: int) -> dict[tuple[int, int, int], in
     -n(n+1), so those blocks reach q up to qcut + n(n+1).
     """
     m = -1
-    if n == 0:
-        return {(0, 0, 0): 1} if qcut >= 0 else {}
-    dims = basis_counts(n, m, qcut)
-    shifts = {key: [key[0] - odd_degree(m, s) for s in range(1 << n)
-                    if 2 * s.bit_count() == key[1]] for key in dims}
-    rank0 = spanning_rank_table(n, m, AlgebraElement.x(n, m, 1, N),
-                                sorted({(q, 0, 0) for qs in shifts.values() for q in qs}))
-    quotient = {key: d - sum(rank0.get((q, 0, 0), 0) for q in shifts[key])
-                for key, d in dims.items()}
+    rank0 = nilhecke_ideal_ranks(n, N, qcut + n * (n + 1))
+    quotient = {key: d - sum(rank0.get(key[0] - odd_degree(m, s), 0) for s in range(1 << n)
+                             if 2 * s.bit_count() == key[1])
+                for key, d in basis_counts(n, m, qcut).items()}
     return {key: d for key, d in quotient.items() if d}

@@ -17,8 +17,8 @@ from operator import add, mul
 
 from . import symgroup
 from .algebra import (
-    AlgebraElement, basis_counts, random_basis_keys, ring_monomials,
-    spanning_rank_table,
+    AlgebraElement, basis_counts, nilhecke_ideal_ranks, random_basis_keys,
+    ring_monomials,
 )
 from .linalg import rank
 from .superring import (
@@ -205,7 +205,10 @@ def homology_ranks(p: DgParams, qcut: int) -> dict[tuple[int, int], int]:
 
     @cache
     def rank_d(q: int, h: int) -> int:
-        """Rank of d_N out of the (q, h) block (0 if it or its target is empty)."""
+        """Rank of d_N out of the (q, h) block (0 if it or its target is
+        empty, as always unless 0 < h <= n)."""
+        if not 0 < h <= p.n:
+            return 0
         here, below = block(q, h), block(q + 2 * p.N, h - 1)
         return rank(_poly_d_matrix(p, here, below), len(below)) if here and below else 0
 
@@ -227,22 +230,18 @@ def homology_ranks(p: DgParams, qcut: int) -> dict[tuple[int, int], int]:
     return table
 
 
-def nilhecke_cyclotomic_oracle(n: int, M: int, qcut: int) -> dict[int, int]:
+def nilhecke_cyclotomic_oracle(n: int, N: int, qcut: int) -> dict[int, int]:
     """Graded dimension of the nilHecke algebra modulo the two-sided ideal
-    generated by the M-th power of the first even generator, per q-degree up
+    generated by the N-th power of the first even generator, per q-degree up
     to qcut; independent of the dg machinery.
 
-    These are the lambda = 0 blocks of algebra.spanning_rank_table for the
-    middle x_1^M: lambda-degrees add under multiplication and are >= 0, so
-    the lambda = 0 parts of A_n and of its ideal (x_1^M) are NH_n and the
-    nilHecke ideal (x_1^M).
+    These are the lambda = 0 blocks of the algebra's basis less those of its
+    ideal (x_1^N): lambda-degrees add under multiplication and are >= 0, so
+    the lambda = 0 parts of A_n and of (x_1^N) are NH_n and the nilHecke
+    ideal (x_1^N).  The ideal's ranks come from algebra.nilhecke_ideal_ranks,
+    the per-process table that algebra.cyclotomic_grdim reads too.
     """
-    if M < 0:
-        raise ValueError("cyclotomic exponent must be nonnegative")
-    if n == 0:
-        return {0: 1} if qcut >= 0 else {}
-    m = -1
-    blocks = {key: d for key, d in basis_counts(n, m, qcut).items() if key[1] == 0}
-    ideal = spanning_rank_table(n, m, AlgebraElement.x(n, m, 1, M), blocks)
-    quotient = {key[0]: d - ideal.get(key, 0) for key, d in sorted(blocks.items())}
+    ranks = nilhecke_ideal_ranks(n, N, qcut)
+    quotient = {q: d - ranks[q]
+                for (q, lam, _), d in sorted(basis_counts(n, -1, qcut).items()) if lam == 0}
     return {q: d for q, d in quotient.items() if d}

@@ -242,15 +242,20 @@ def shapovalov_unit(n: int, m: int) -> GradedDim:
     return GradedDim.term(1, n * n - n * m, -n)
 
 
-def nilhecke_cyclotomic_grdim(n: int, L: int, qcut: int) -> dict[int, int]:
-    """Closed-form graded dimension of the cyclotomic nilHecke algebra NH_n^L
-    per q-degree up to qcut, q^{-n(n-1)/2} [n]! q^{nL-n(n+1)/2} [L-n+1]...[L]
-    (zero when L < n): the crossings times the Hilbert series of the regular
-    Koszul sequence h_L(x_1), ..., h_{L-n+1}(x_1..x_n) that d_N resolves."""
-    if L < n:
+def nilhecke_cyclotomic_grdim(n: int, N: int, qcut: int) -> dict[int, int]:
+    """Closed-form graded dimension of the cyclotomic nilHecke algebra NH_n^N
+    per q-degree up to qcut, q^{-n(n-1)/2} [n]! q^{nN-n(n+1)/2} [N-n+1]...[N]
+    (zero when N < n): the crossings times the Hilbert series of the regular
+    Koszul sequence h_N(x_1), ..., h_{N-n+1}(x_1..x_n) that d_N resolves at
+    m = -1."""
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    if N < 0:
+        raise ValueError(f"N must be >= 0, got {N}")
+    if N < n:
         return {}
-    acc = GradedDim.term(1, n * L - n * n) * quantum_factorial(n)
-    for i in range(L - n + 1, L + 1):
+    acc = GradedDim.term(1, n * N - n * n) * quantum_factorial(n)
+    for i in range(N - n + 1, N + 1):
         acc = acc * quantum_int(i)
     return {q: c for (q, _, _), c in acc.coeffs.items() if q <= qcut}
 
@@ -263,7 +268,9 @@ def cyclotomic_grdim_closed_form(n: int, N: int, qcut: int) -> dict[Key, int]:
     decomposition in algebra.cyclotomic_grdim: the ideal is Lambda(w) (x) its
     lambda = 0 part, w_i having q-degree -2i at m = -1.  What stays a check
     is the lambda = 0 part, nilhecke_cyclotomic_grdim, against
-    dgstructure.nilhecke_cyclotomic_oracle, which ranks those same blocks.
+    dgstructure.nilhecke_cyclotomic_oracle, which reads the same per-process
+    table of lambda = 0 ranks (algebra.nilhecke_ideal_ranks) as
+    algebra.cyclotomic_grdim; this closed form is independent of that table.
     The whole table equals algebra.cyclotomic_grdim key by key at
     (n, N, qcut) = (1, 1, 12), (1, 4, 12), (2, 1, 16), (2, 2, 16), (2, 4, 12),
     (2, 5, 22), (3, 1, 8), (3, 2, 6), (3, 3, 6), (3, 4, 0), (3, 5, -4),

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from supernilhecke import algebra
 from supernilhecke import symgroup as sg
 from supernilhecke.algebra import (
     AlgebraElement, act, basis, basis_at_bidegree, basis_counts,
@@ -10,8 +11,9 @@ from supernilhecke.algebra import (
     random_element, ring_monomials, spanning_rank_table, tau, theta,
     tight_basis, tight_monomial_skeletons, verify_relations,
 )
+from supernilhecke.dgstructure import nilhecke_cyclotomic_oracle
 from supernilhecke.exprparse import evaluate_algebra, parse
-from supernilhecke.gradedseries import nilhecke_cyclotomic_grdim
+from supernilhecke.gradedseries import cyclotomic_grdim_closed_form, nilhecke_cyclotomic_grdim
 from supernilhecke.induction import (
     decompose_left, recombine_left, recombine_ses, ses_split,
 )
@@ -284,6 +286,46 @@ def test_cyclotomic_grdim_matches_full_span():
     cases += [(3, N, qcut) for N in range(6) for qcut in (-10, -4, 0)]
     for n, N, qcut in cases:
         assert cyclotomic_grdim(n, N, qcut) == full_span_quotient(n, N, qcut), (n, N, qcut)
+
+
+def _cold(f, *args):
+    """f(*args) with the per-process table of lambda = 0 ranks emptied first."""
+    algebra._IDEAL_RANKS.clear()
+    return f(*args)
+
+
+def test_ideal_rank_table_does_not_depend_on_call_order():
+    cases = [(n, N, qcut) for n in (1, 2, 3) for N in (1, 3) for qcut in (-4, 2, 8)]
+    cold = {case: _cold(cyclotomic_grdim, *case) for case in cases}
+    cold_oracle = {case: _cold(nilhecke_cyclotomic_oracle, *case) for case in cases}
+    by_qcut = sorted(cases, key=lambda case: case[2])
+    for order in (by_qcut, by_qcut[::-1]):
+        algebra._IDEAL_RANKS.clear()
+        for case in order:
+            assert cyclotomic_grdim(*case) == cold[case], (case, order)
+    algebra._IDEAL_RANKS.clear()
+    for case in by_qcut[::-1]:  # the oracle reads the same table
+        assert nilhecke_cyclotomic_oracle(*case) == cold_oracle[case], case
+        assert cyclotomic_grdim(*case) == cold[case], case
+
+
+def test_wrong_ideal_rank_shows_against_full_span(monkeypatch):
+    # the full span never reads the table, so it catches a bad entry
+    monkeypatch.setattr(algebra, "_IDEAL_RANKS", {})
+    n, N, qcut = 2, 2, 4
+    assert cyclotomic_grdim(n, N, qcut) == full_span_quotient(n, N, qcut)
+    held = algebra._IDEAL_RANKS[n, N]
+    held[max(held)] += 1
+    assert cyclotomic_grdim(n, N, qcut) != full_span_quotient(n, N, qcut)
+
+
+@pytest.mark.parametrize("f", (cyclotomic_grdim, nilhecke_cyclotomic_oracle,
+                               nilhecke_cyclotomic_grdim, cyclotomic_grdim_closed_form))
+@pytest.mark.parametrize("n, N, qcut, name", ((2, -1, 4, "N"), (0, -1, 4, "N"), (0, -3, -2, "N"),
+                                              (-1, 2, 4, "n"), (-1, -1, 0, "n")))
+def test_cyclotomic_entry_points_reject_negative_arguments(f, n, N, qcut, name):
+    with pytest.raises(ValueError, match=f"^{name} must be >= 0, got -"):
+        f(n, N, qcut)
 
 
 def test_idempotent_span_is_everything():

@@ -115,12 +115,21 @@ def test_homology_small_cases():
     assert homology_ranks(DgParams(1, 0, 2), 10) == {(0, 0): 1, (2, 0): 1}
 
 
-def test_homology_concentrated_and_matches_oracle():
+def test_homology_concentrated_and_matches_oracle(monkeypatch):
+    # d_N joins homological degrees 0..n, so no block at h < 0 or h > n is
+    # ever enumerated
+    asked, enumerate_block = [], dgstructure.monomials_at
+
+    def recording(n, m, q, lam):
+        asked.append((n, lam))
+        return enumerate_block(n, m, q, lam)
+    monkeypatch.setattr(dgstructure, "monomials_at", recording)
     for n, m, N in ((1, -1, 3), (2, -1, 3), (2, 0, 2), (2, -2, 5), (3, -1, 4)):
         table = homology_ranks(DgParams(n, m, N), 8)
         assert all(h == 0 for (_, h) in table), (n, m, N)
         oracle = nilhecke_cyclotomic_oracle(n, m + N, 8)
         assert {q: d for (q, h), d in table.items()} == oracle, (n, m, N)
+    assert asked and all(0 <= lam <= 2 * n for n, lam in asked)
 
 
 def test_acyclic_when_strands_exceed_level():
