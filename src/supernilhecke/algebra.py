@@ -351,16 +351,15 @@ def tight_basis(n: int, m: int, qcut: int):
     return out
 
 
-def random_element(n: int, m: int, rng, nterms: int = 4, maxexp: int = 2,
-                   maxcoeff: int = 3) -> AlgebraElement:
-    """Small random element for seeded verification suites."""
+def random_element(n: int, m: int, rng, nterms: int = 4, maxexp: int = 2) -> AlgebraElement:
+    """Small random element, coefficients in -3..3, for seeded verification suites."""
     perms = list(symgroup.all_permutations(n))
     terms: dict[TermKey, int] = {}
     for _ in range(nterms):
         xe = tuple(rng.randrange(maxexp + 1) for _ in range(n))
         om = rng.randrange(1 << n)
         perm = perms[rng.randrange(len(perms))]
-        c = rng.randrange(-maxcoeff, maxcoeff + 1)
+        c = rng.randrange(-3, 4)
         if c:
             terms[(xe, om, perm)] = terms.get((xe, om, perm), 0) + c
     return AlgebraElement(n, m, {k: c for k, c in terms.items() if c})
@@ -368,10 +367,9 @@ def random_element(n: int, m: int, rng, nterms: int = 4, maxexp: int = 2,
 
 # ---- relation suite ----------------------------------------------------------
 
-def verify_relations(n: int, m: int, max_extra_label: int = 3) -> list[str]:
+def verify_relations(n: int, m: int) -> list[str]:
     """Check every defining relation in normal form; returns failure messages
-    (empty on success).  Labeled variants run for labels up to
-    m+1+max_extra_label."""
+    (empty on success).  Labeled variants run for labels m+1..m+4."""
     failures: list[str] = []
     E = AlgebraElement
 
@@ -407,8 +405,7 @@ def verify_relations(n: int, m: int, max_extra_label: int = 3) -> list[str]:
                 check(f"w{i} w{j} anticommute", ws[i] * ws[j], -(ws[j] * ws[i]))
         check(f"w{i}^2 = 0", ws[i] * ws[i], E.zero(n, m))
 
-    labels = range(m + 1, m + 2 + max_extra_label)
-    for a in labels:
+    for a in range(m + 1, m + 5):
         was = {k: E.w_labeled(n, m, k, a) for k in range(1, n + 1)}
         for i in range(1, n):
             for k in range(1, n + 1):

@@ -184,13 +184,13 @@ def suite_dg(n: int, m: int, N: int, qcut: int, seed: int) -> list[str]:
     return failures
 
 
-def suite_ses(n: int, m: int, seed: int, count: int = 20) -> list[str]:
+def suite_ses(n: int, m: int, seed: int) -> list[str]:
     failures = []
     rng = random.Random(seed)
     for nn in range(1, n + 1):
         if not ses_dimension_check(nn, m):
             failures.append(f"ses({nn},{m}): dimension identity fails")
-    for _ in range(count):
+    for _ in range(20):
         w = random_element(n + 1, m, rng, nterms=3, maxexp=1)
         pairs, coker = ses_split(w)
         if recombine_ses(n + 1, m, pairs, coker) != w:

@@ -109,12 +109,9 @@ def _eliminate(w: AlgebraElement, plain: bool) -> dict:
         if odd_keys:
             lead = min(odd_keys, key=lambda k: (symgroup.length(k[2]), k))
             xexp, omask, tau = lead
+            # a is where tau takes 1, so tau = shift(t) . s_1...s_{a-1} always splits
             a = tau.index(1) + 1
-            shifted = symgroup.compose(
-                tau, symgroup.evaluate_word(n1, tuple(range(1, a))))
-            if shifted[0] != 1:
-                raise ArithmeticError("odd lead permutation failed to split (bug)")
-            ukey = (xexp[:n], omask & ~top, tuple(v - 1 for v in shifted[1:]))
+            ukey = (xexp[:n], omask & ~top, tuple(v - 1 for v in tau if v != 1))
         else:
             lead = (next(iter(terms)) if plain
                     else max(terms, key=lambda k: symgroup.length(k[2])))

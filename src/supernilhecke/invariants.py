@@ -10,7 +10,9 @@ from dataclasses import dataclass
 
 from . import symgroup
 from .linalg import solve
-from .superring import SuperPolynomial, apply_simple, demazure_perm, exponent_vectors
+from .superring import (
+    SuperPolynomial, apply_simple, demazure_perm, exponent_vectors, mask_to_indices,
+)
 from .symgroup import Perm
 
 
@@ -144,7 +146,6 @@ def strip_omega_parts(f: SuperPolynomial) -> dict[tuple[int, ...], SuperPolynomi
     """Write f as sum over strict partitions mu of p_mu(x) . schur_zero(mu),
     by triangular elimination in lexicographic order on mu."""
     n, m = f.n, f.m
-    from .superring import indices_to_mask
     coeffs: dict[tuple[int, ...], SuperPolynomial] = {}
     rem = f
     guard = 0
@@ -153,11 +154,8 @@ def strip_omega_parts(f: SuperPolynomial) -> dict[tuple[int, ...], SuperPolynomi
         if guard > 4 ** n + 4:
             raise ArithmeticError("omega stripping failed to terminate (bug)")
         # lexicographically smallest odd support present
-        mu = min(
-            (tuple(i + 1 for i in range(n) if omask >> i & 1)
-             for (_, omask) in rem.terms),
-        )
-        mask = indices_to_mask(mu)
+        mask = min((omask for (_, omask) in rem.terms), key=mask_to_indices)
+        mu = mask_to_indices(mask)
         part = SuperPolynomial(n, m, {
             (xexp, 0): c for (xexp, omask), c in rem.terms.items() if omask == mask})
         coeffs[mu] = coeffs.get(mu, SuperPolynomial.zero(n, m)) + part

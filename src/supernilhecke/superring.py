@@ -62,13 +62,6 @@ def mask_to_indices(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def indices_to_mask(indices) -> int:
-    mask = 0
-    for i in indices:
-        mask |= 1 << (i - 1)
-    return mask
-
-
 def accumulate(terms: dict, items) -> dict:
     """Add (key, coeff) pairs into terms, dropping keys whose sum is zero."""
     for k, c in items:

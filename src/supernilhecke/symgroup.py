@@ -136,19 +136,22 @@ def all_reduced_words(p: Perm) -> frozenset[Word]:
     return _all_reduced_words_cached(tuple(p))
 
 
+def _strand_minima(n: int, letters: Word) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """For each strand k, the least image of k over all prefixes of the word,
+    and the first prefix length reaching it (0 for the empty prefix)."""
+    track = identity(n)  # track[k-1] = current image of k
+    minima, first = list(track), [0] * n
+    for pos, i in enumerate(letters, start=1):
+        track = apply_word_letter(track, i)
+        for k in range(n):
+            if track[k] < minima[k]:
+                minima[k], first[k] = track[k], pos
+    return tuple(minima), tuple(first)
+
+
 def prefix_minima(n: int, letters: Word) -> tuple[int, ...]:
     """For each k, the minimum of (prefix of the word)(k) over all prefixes."""
-    track = list(range(1, n + 1))  # track[k-1] = current image of k
-    minima = list(range(1, n + 1))
-    for i in letters:
-        for k in range(n):
-            if track[k] == i:
-                track[k] = i + 1
-            elif track[k] == i + 1:
-                track[k] = i
-            if track[k] < minima[k]:
-                minima[k] = track[k]
-    return tuple(minima)
+    return _strand_minima(n, letters)[0]
 
 
 def left_adjusted_word(p: Perm) -> Word:
@@ -190,43 +193,25 @@ def partition_word(n: int, letters: Word):
     """
     if not is_left_adjusted(n, letters):
         raise ValueError("word is not left-adjusted")
-    r = len(letters)
-    # first prefix index achieving the minimum, per strand
-    t = [0] * n
-    track = list(range(1, n + 1))
-    best = list(range(1, n + 1))
-    for pos, i in enumerate(letters, start=1):
-        for k in range(n):
-            if track[k] == i:
-                track[k] = i + 1
-            elif track[k] == i + 1:
-                track[k] = i
-            if track[k] < best[k]:
-                best[k] = track[k]
-                t[k] = pos
+    minima, t = _strand_minima(n, letters)
     s = tuple(sorted(range(1, n + 1), key=lambda k: (t[k - 1], k)))
-    cuts = [0] + [t[s[k] - 1] for k in range(n)] + [r]
+    cuts = [0] + [t[k - 1] for k in s] + [len(letters)]
     factors = [letters[cuts[j]:cuts[j + 1]] for j in range(n + 1)]
-    return s, factors, tuple(best)
+    return s, factors, minima
 
 
 def coset_split(p: Perm) -> tuple[Perm, int]:
     """Write p in S_n as p' . (s_{n-1} ... s_a) with p' in S_{n-1}.
 
     Returns (p' as a permutation of n-1 letters, a); a = n when the coset part
-    is empty.  Lengths add: l(p) = l(p') + (n - a).
+    is empty.  Lengths add: l(p) = l(p') + (n - a).  In one-line notation p'
+    is p with the value n deleted, and a is the position of n.
+
+    >>> coset_split((3, 4, 2, 1))
+    ((3, 2, 1), 2)
     """
     n = len(p)
-    a = p.index(n) + 1
-    cycle_inv = list(range(1, n + 1))
-    for k in range(1, n + 1):
-        if k == n:
-            cycle_inv[k - 1] = a
-        elif k >= a:
-            cycle_inv[k - 1] = k + 1
-    pprime = tuple(p[cycle_inv[k] - 1] for k in range(n))
-    assert pprime[n - 1] == n
-    return pprime[: n - 1], a
+    return tuple(v for v in p if v != n), p.index(n) + 1
 
 
 def coset_word(n: int, a: int) -> Word:

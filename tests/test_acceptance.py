@@ -28,8 +28,7 @@ from supernilhecke.invariants import (
 )
 from supernilhecke.linalg import sparse_det
 from supernilhecke.superring import (
-    SuperPolynomial, complete_h, labeled_omega, labeled_omega_closed,
-    omega_to_top,
+    SuperPolynomial, complete_h, labeled_omega, omega_to_top,
 )
 
 E = AlgebraElement
@@ -127,13 +126,18 @@ def test_criterion_4_schur_suite():
             for beta in betas:
                 s = schur_super(n, m, Superpartition(alpha, beta))
                 assert is_invariant(s), (n, alpha, beta)
-    # labeled generator identities to relative label 6
+    # labeled generators to relative label 6 against the defining recursion
+    # w_k^a = w_{k-1}^{a-1} - x_k w_k^{a-1}, with w_0 = 0 and w_k^{m+1} = w_k
     for n in range(1, 6):
         for m in (-1, 0):
+            rec = {(0, t): SuperPolynomial.zero(n, m) for t in range(7)}
+            for k in range(1, n + 1):
+                rec[k, 0] = SuperPolynomial.w(n, m, k)
+                for t in range(1, 7):
+                    rec[k, t] = rec[k - 1, t - 1] - SuperPolynomial.x(n, m, k) * rec[k, t - 1]
             for k in range(1, n + 1):
                 for t in range(0, 7):
-                    assert labeled_omega(n, m, k, m + 1 + t) == \
-                        labeled_omega_closed(n, m, k, m + 1 + t)
+                    assert labeled_omega(n, m, k, m + 1 + t) == rec[k, t], (n, m, k, t)
                 assert omega_to_top(n, m, k) == SuperPolynomial.w(n, m, k)
             for i in range(0, n):
                 assert labeled_omega(n, m, n, m + 1 + i) == schur_zero(n, m, (n - i,))

@@ -224,6 +224,9 @@ def test_parse_error_offsets():
     ("x1 + x\u0662", 5),
     ("x\u00b2", 0),
     ("x1\u00b2", 2),
+    ("(x1", 3),              # expected ')'
+    ("x1^-2", 4),            # negative x-powers are not in the ring
+    ("x1)", 2),              # trailing input
 ])
 def test_parse_and_elaboration_errors_report_their_offset(text, offset):
     evaluate = evaluate_ring if "T1" in text else evaluate_algebra
@@ -241,6 +244,18 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     assert code == 1
     payload = json.loads(out)
     assert payload["suites"]["relations"]["failures"] == ["synthetic failure"]
+    assert run_cli(capsys, "verify", "relations", "--n", "2", "--format", "text") == \
+        (1, "relations: FAIL\nsynthetic failure\n")
+
+
+def test_verify_and_cyclotomic_text_output(capsys):
+    assert run_cli(capsys, "verify", "schur", "--n", "2", "--format", "text") == \
+        (0, "schur: pass\n")
+    code, out = run_cli(capsys, "cyclotomic", "--n", "1", "--N", "2", "--qcut", "4",
+                        "--format", "text")
+    assert code == 0
+    assert out.splitlines() == ["q\tlambda\tdim", "-2\t2\t1", "0\t0\t1", "0\t2\t1",
+                                "2\t0\t1"]
 
 
 def test_verify_all_with_jobs(capsys):

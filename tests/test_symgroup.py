@@ -108,7 +108,7 @@ def test_partition_word_rejects_non_left_adjusted():
 
 
 def test_coset_split():
-    for n in (2, 3, 4):
+    for n in range(2, 7):
         for p in sg.all_permutations(n):
             pprime, a = sg.coset_split(p)
             assert len(pprime) == n - 1
