@@ -23,15 +23,26 @@ lead is gone after the subtraction, and that all its other terms come after
 the lead in the pass's order, so no earlier lead comes back; the
 recombination helpers give exactness checks.  An inconsistency raises
 ArithmeticError instead of returning wrong coordinates or looping.
+
+Family products are shifts, not general products.  For a basis monomial
+u = x^k w^S T_t of the n-strand algebra and an (n+1)-strand z,
+embed(u) . z = x^k w^S . (T_{t x 1} . z), and a ring monomial multiplies a
+normal form from the left with only a Koszul sign.  So T_{t x 1} . G is
+cached once per family generator G and t, and the elimination, crossing_map
+and the cokernel part of recombine_ses read every product off those caches.
+recombine_left keeps the general product: it is the independent slow path
+that the left round-trip tests hold the shifts to.
 """
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from operator import add
 
 from . import symgroup
 from .algebra import AlgebraElement, TermKey, theta_dotted
-from .superring import accumulate
+from .superring import _merge_masks, accumulate
+from .symgroup import Perm
 
 
 def embed(u: AlgebraElement) -> AlgebraElement:
@@ -74,15 +85,71 @@ def _family(n1: int, m: int, a: int, p: int, odd: bool, plain: bool) -> AlgebraE
     return AlgebraElement.x(n1, m, n1, p) * gen if plain else gen
 
 
+@functools.cache
+def _twisted_family(n1: int, m: int, t: Perm, a: int, p: int, odd: bool,
+                    plain: bool) -> AlgebraElement:
+    """T_{t x 1} . (the generator at (a, p)), for t in S_n."""
+    return _twisted(_twisted_family, n1, m, t, _family, a, p, odd, plain)
+
+
+@functools.cache
+def _twisted_crossing(n1: int, m: int, t: Perm, v: AlgebraElement) -> AlgebraElement:
+    """T_{t x 1} . T_n . embed(v), for t in S_n and an n-strand v."""
+    return _twisted(_twisted_crossing, n1, m, t, _crossed, v)
+
+
+def _crossed(n1: int, m: int, v: AlgebraElement) -> AlgebraElement:
+    """T_n . embed(v) by the general product, so that a round trip through
+    ses_split checks W_a = T_n . embed(W_a on n strands) and its kin."""
+    return AlgebraElement.T(n1, m, n1 - 1) * embed(v)
+
+
+# Each term key of the two caches above, held once: different entries repeat
+# keys, and sharing them took the peak memory of verify ses --n 5 from 119 MB
+# to 75 MB.
+_KEYS: dict[TermKey, TermKey] = {}
+
+
+def _twisted(cached, n1: int, m: int, t: Perm, base, *args) -> AlgebraElement:
+    """T_{t x 1} . z for z = base(n1, m, *args): z itself at t = 1, else
+    T_i . (the entry cached(n1, m, s_i t, *args)) for the least left descent
+    i of t, so that each entry pushes a single letter."""
+    i = next((i for i in range(1, n1 - 1) if t.index(i + 1) < t.index(i)), None)
+    z = base(n1, m, *args) if i is None else (
+        AlgebraElement.T(n1, m, i) * cached(n1, m, symgroup.apply_word_letter(t, i), *args))
+    return AlgebraElement._adopt(n1, m, {_KEYS.setdefault(k, k): c for k, c in z.terms.items()})
+
+
+def _shift(ukey: TermKey, twisted: AlgebraElement):
+    """Terms of embed(u) . z for the n-strand basis monomial u = x^k w^S T_t =
+    ukey, given twisted = T_{t x 1} . z.  A ring monomial multiplies a
+    normal form from the left with no push: x^k w^S . x^e w^O T_rho is 0 when
+    S and O meet, else the Koszul sign of _merge_masks(S, O) times
+    x^{k+e} w^{S+O} T_rho.  e, O and rho can be read back from that key, so
+    distinct terms land on distinct keys."""
+    xexp, s, _ = ukey
+    k = xexp + (0,)
+    for (e, o, rho), c in twisted.terms.items():
+        sign, mask = _merge_masks(s, o)
+        if sign:
+            yield (tuple(map(add, k, e)), mask, rho), sign * c
+
+
 def _family_element(n1: int, m: int, ukey: TermKey, a: int, p: int, odd: bool,
                     plain: bool) -> AlgebraElement:
     """u . (the generator at (a, p)) for the n-strand basis monomial u = ukey."""
-    return embed(AlgebraElement(n1 - 1, m, {ukey: 1})) * _family(n1, m, a, p, odd, plain)
+    twisted = _twisted_family(n1, m, ukey[2], a, p, odd, plain)
+    return AlgebraElement._adopt(n1, m, dict(_shift(ukey, twisted)))
 
 
-# The odd expansions are kept: they recur across elements.  Keeping the even
-# ones as well raised peak memory by more than it saved time.
-_odd_expansion = functools.cache(_family_element)
+def _left_times(n1: int, m: int, u: AlgebraElement, twisted, *args) -> AlgebraElement:
+    """embed(u) . z for an n-strand element u, where twisted(n1, m, t, *args)
+    gives T_{t x 1} . z."""
+    terms: dict[TermKey, int] = {}
+    for ukey, c in u.terms.items():
+        accumulate(terms, ((key, c * d) for key, d in
+                           _shift(ukey, twisted(n1, m, ukey[2], *args))))
+    return AlgebraElement._adopt(n1, m, terms)
 
 
 # ---- the elimination -------------------------------------------------------------
@@ -119,7 +186,7 @@ def _eliminate(w: AlgebraElement, plain: bool) -> dict:
             pprime, a = symgroup.coset_split(perm)
             ukey = (xexp[:n], omask, pprime)
         odd, p = bool(odd_keys), xexp[n]
-        fam = (_odd_expansion if odd else _family_element)(n1, m, ukey, a, p, odd, plain)
+        fam = _family_element(n1, m, ukey, a, p, odd, plain)
         unit = fam.terms.get(lead, 0)
         if unit not in (1, -1):
             raise ArithmeticError("lead coefficient is not a unit (bug)")
@@ -192,9 +259,8 @@ def ses_split(w: AlgebraElement) -> tuple[list[tuple[AlgebraElement, AlgebraElem
 def crossing_map(n1: int, m: int, pairs) -> AlgebraElement:
     """s(x (x) y) = x T_n y on a list of n-strand pairs."""
     acc = AlgebraElement.zero(n1, m)
-    t_n = AlgebraElement.T(n1, m, n1 - 1)
     for u, v in pairs:
-        acc = acc + embed(u) * t_n * embed(v)
+        acc = acc + _left_times(n1, m, u, _twisted_crossing, v)
     return acc
 
 
@@ -202,7 +268,7 @@ def recombine_ses(n1: int, m: int, pairs, coker: SesComponents) -> AlgebraElemen
     acc = crossing_map(n1, m, pairs)
     for odd, part in ((False, coker.poly_part), (True, coker.omega_part)):
         for u, p in part:
-            acc = acc + embed(u) * _family(n1, m, n1, p, odd, False)
+            acc = acc + _left_times(n1, m, u, _twisted_family, n1, p, odd, False)
     return acc
 
 

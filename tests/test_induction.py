@@ -1,9 +1,10 @@
+import itertools
 import random
 
 import pytest
 
 from supernilhecke import induction
-from supernilhecke.algebra import AlgebraElement, random_element
+from supernilhecke.algebra import AlgebraElement, random_basis_keys, random_element
 from supernilhecke.induction import (
     crossing_map, decompose_left, embed, projection_poly_part, recombine_left,
     recombine_ses, restrict, ses_split,
@@ -92,20 +93,25 @@ def test_decompose_left_unique():
 
 
 @pytest.mark.parametrize("spoil", ["times 2", "times 0", "term before the lead"])
-@pytest.mark.parametrize("builder", ["_odd_expansion", "_family_element"])
+@pytest.mark.parametrize("lead", ["odd", "even"])
 @pytest.mark.parametrize("decompose", [decompose_left, ses_split])
-def test_elimination_stops_at_a_bad_step(monkeypatch, decompose, builder, spoil):
+def test_elimination_stops_at_a_bad_step(monkeypatch, decompose, lead, spoil):
     # a family element whose lead coefficient is 2 or 0, or one with a unit
     # lead but a term that its pass takes before the lead (for odd leads a
     # shorter top-odd term, for even ones any other term in the plain pass or
     # a longer one in the dotted pass), must stop the elimination at that
     # step, not let it go on or loop
     n1, m = 3, -1
-    early = E.w(n1, m, n1) if builder == "_odd_expansion" else E.T_word(n1, m, (1, 2, 1))
+    odd = lead == "odd"
+    early = E.w(n1, m, n1) if odd else E.T_word(n1, m, (1, 2, 1))
     calls = []
-    real = getattr(induction, builder)
+    real = induction._family_element
 
     def broken(*args):
+        # family elements of the other parity pass through unspoiled until the
+        # first one of this parity
+        if not calls and args[5] != odd:
+            return real(*args)
         calls.append(args)
         if len(calls) > 1:
             raise RuntimeError("the elimination went on past a bad step")
@@ -113,14 +119,52 @@ def test_elimination_stops_at_a_bad_step(monkeypatch, decompose, builder, spoil)
             return real(*args) + early
         return real(*args).scale(int(spoil[-1]))
 
-    monkeypatch.setattr(induction, builder, broken)
+    monkeypatch.setattr(induction, "_family_element", broken)
     # one odd lead, w_3 T_1, longer than the added w_3, and one even lead,
-    # x_3, shorter than the added T_1 T_2 T_1
+    # x_3, shorter than the added T_1 T_2 T_1; the odd one goes first
     w = E.w(n1, m, n1) * E.T(n1, m, 1) + E.x(n1, m, n1)
     message = "before the lead" if spoil == "term before the lead" else "not a unit"
     with pytest.raises(ArithmeticError, match=message):
         decompose(w)
     assert len(calls) == 1
+
+
+def test_family_element_is_the_general_product():
+    # the shift of a cached T_t . G equals embed(u) . G formed by the general
+    # product, for every generator (a, p) of both families on seeded u
+    rng = random.Random(18)
+    for n1 in (2, 3, 4):
+        n = n1 - 1
+        for m in (-1, 0):
+            for u in itertools.islice(random_basis_keys(n, m, 4, rng), 30):
+                left = embed(E(n, m, {u: 1}))
+                for a, p, odd, plain in itertools.product(
+                        range(1, n1 + 1), range(3), (False, True), (False, True)):
+                    want = left * induction._family(n1, m, a, p, odd, plain)
+                    got = induction._family_element(n1, m, u, a, p, odd, plain)
+                    assert got == want, (n1, m, u, a, p, odd, plain)
+
+
+def test_crossing_map_is_the_general_product():
+    # crossing_map against sum embed(u) . T_n . embed(v) by the general
+    # product, on random v and on the cached family values ses_split pairs with
+    rng = random.Random(19)
+    for n1 in (2, 3, 4):
+        n = n1 - 1
+        for m in (-1, 0):
+            t_n = E.T(n1, m, n)
+            for i in range(6):
+                u = random_element(n, m, rng, nterms=3, maxexp=1)
+                if i % 2:
+                    v = random_element(n, m, rng, nterms=3, maxexp=1)
+                else:
+                    v = induction._family(n, m, rng.randint(1, n), rng.randrange(3),
+                                          rng.random() < 0.5, False)
+                pairs = [(u, v), (random_element(n, m, rng, nterms=2, maxexp=1), v)]
+                want = E.zero(n1, m)
+                for x, y in pairs:
+                    want = want + embed(x) * t_n * embed(y)
+                assert crossing_map(n1, m, pairs) == want, (n1, m, i)
 
 
 def test_ses_round_trips():

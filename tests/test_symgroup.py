@@ -88,18 +88,21 @@ def test_partition_word_identity():
 
 
 def test_partition_word_reassembles():
-    for n in (2, 3, 4):
+    for n in range(1, 6):
         for p in sg.all_permutations(n):
             w = sg.left_adjusted_word(p)
             s, factors, minima = sg.partition_word(n, w)
             flat = tuple(x for f in factors for x in f)
             assert flat == w
             assert sg.evaluate_word(n, flat) == p
-            # the defining property: the prefix up to each cut realizes the min
+            # the defining property: the prefix up to each cut is the first
+            # prefix at which its strand reaches its minimum
             for k in range(1, n + 1):
-                prefix = tuple(x for f in factors[:k] for x in f)
-                q = sg.evaluate_word(n, prefix)
-                assert q[s[k - 1] - 1] == minima[s[k - 1] - 1]
+                strand = s[k - 1]
+                cut = sum(len(f) for f in factors[:k])
+                images = [sg.evaluate_word(n, w[:j])[strand - 1] for j in range(cut + 1)]
+                assert images[cut] == minima[strand - 1]
+                assert min(images[:cut], default=n + 1) > minima[strand - 1]
 
 
 def test_partition_word_rejects_non_left_adjusted():
