@@ -4,8 +4,10 @@ Command-line front end.
 Commands: nf, mul, act, schur, grdim, ses-check, shapovalov, homology,
 cyclotomic, verify.  Exit codes: 0 success, 1 verification failure, 2 usage
 error, 3 internal error (an unexpected exception, reported on stderr without a
-traceback).  --format json prints machine-readable output (deterministic for a
-fixed --seed); text mode prints human-readable monomials.
+traceback), 141 (128 + SIGPIPE) stdout closed before the output was written,
+as by `| head`, the rest of the output discarded without a message.
+--format json prints machine-readable output (deterministic for a fixed
+--seed); text mode prints human-readable monomials.
 """
 from __future__ import annotations
 
@@ -335,7 +337,14 @@ def main(argv=None) -> int:
     try:
         _check_params(args)
         # Looked up when it runs, so a replaced cmd_* takes effect.
-        return globals()["cmd_" + args.command.replace("-", "_")](args)
+        code = globals()["cmd_" + args.command.replace("-", "_")](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Python's note on SIGPIPE: send what is left to devnull, so that the
+        # flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ParseError, UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -11,6 +11,7 @@ are finite in every homological degree.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cache, lru_cache
 from operator import add, mul
@@ -18,9 +19,8 @@ from operator import add, mul
 from . import symgroup
 from .algebra import (
     AlgebraElement, basis_counts, nilhecke_ideal_ranks, random_basis_keys,
-    ring_monomials,
 )
-from .linalg import rank
+from .linalg import rank, rank_gf2
 from .superring import (
     Monomial, SuperPolynomial, _merge_masks, accumulate, complete_h,
     mask_to_indices, monomials_at, odd_degree,
@@ -101,6 +101,14 @@ def homological_degree(u: AlgebraElement) -> int | None:
     return None
 
 
+def _d_squared_zero(table: tuple, n: int, omask: int) -> bool:
+    """d(d(w^omask)) = 0 for the odd derivation with this odd-image table."""
+    dd: dict[Monomial, int] = {}
+    for (xe, om), c in _d_ring(table, (0,) * n, omask):
+        accumulate(dd, ((key, c * cc) for key, cc in _d_ring(table, xe, om)))
+    return not dd
+
+
 def verify_d_squared(p: DgParams, qcut: int, samples: int = 50, seed: int = 0,
                      images: dict[int, SuperPolynomial] | None = None) -> bool:
     """d(d(b)) = 0 for every basis monomial with q-degree <= qcut, plus the
@@ -109,12 +117,16 @@ def verify_d_squared(p: DgParams, qcut: int, samples: int = 50, seed: int = 0,
     relations is decided).  Custom generator images may be injected; the
     default is d_N.
 
-    d kills every T_i, so the Leibniz rule gives d(f T_p) = d(f) T_p and
-    d(d(f T_p)) = d(d(f)) T_p for a ring part f: the d^2 sweep applies
-    _d_ring twice to every ring monomial of q-degree <= qcut + n(n-1).
-    That range is exactly the set of ring parts of basis(n, m, qcut), whose
-    perm p has the ring budget qcut + 2 l(p) <= qcut + n(n-1).  The sampled
-    pairs check d(f T_p) = d(f) T_p for every p explicitly.
+    d kills every x_i and T_i, so d(x^a w^S T_p) = x^a d(w^S) T_p: _d_ring
+    reads it as d(w^S) shifted by a, and d(d(x^a w^S T_p)) is d(d(w^S))
+    shifted by a, with the same T_p.  The shift is injective on keys, so
+    d^2 vanishes on x^a w^S T_p exactly when d(d(w^S)) = 0, whatever the
+    images, odd parts included.  The ring parts of basis(n, m, qcut) are the
+    ring monomials of q-degree <= qcut + n(n-1) (perm p has the ring budget
+    qcut + 2 l(p)), and w^S is the one of least degree with mask S; so d^2
+    is checked once on w^S for each mask S with deg w^S <= qcut + n(n-1),
+    the masks that occur in the basis, and on no other.  The sampled pairs
+    check d(f T_p) = d(f) T_p for every p explicitly.
     """
     import random
     table = _generator_images(p) if images is None else odd_images(p.n, images)
@@ -136,12 +148,10 @@ def verify_d_squared(p: DgParams, qcut: int, samples: int = 50, seed: int = 0,
         return all(d(E(p.n, p.m, {(*ring, s): 1})) == df * E.T_perm(p.n, p.m, s)
                    for s in symgroup.all_permutations(p.n) if s != e)
 
-    for xexp, omask in ring_monomials(p.n, p.m, qcut + p.n * (p.n - 1)):
-        dd: dict[Monomial, int] = {}
-        for (xe, om), c in _d_ring(table, xexp, omask):
-            accumulate(dd, ((key, c * cc) for key, cc in _d_ring(table, xe, om)))
-        if dd:
-            return False
+    budget = qcut + p.n * (p.n - 1)
+    if not all(_d_squared_zero(table, p.n, omask) for omask in range(1 << p.n)
+               if odd_degree(p.m, omask) <= budget):
+        return False
     gens = ([E.x(p.n, p.m, i) for i in range(1, p.n + 1)]
             + [E.w(p.n, p.m, i) for i in range(1, p.n + 1)]
             + [E.T(p.n, p.m, i) for i in range(1, p.n)])
@@ -176,21 +186,20 @@ def _column_weights(n: int, bits: int) -> list[int]:
     return [1 << (n + bits * i) for i in range(n)]
 
 
-def _poly_d_matrix(p: DgParams, domain, codomain) -> list[dict[int, int]]:
+def _poly_d_rows(p: DgParams, domain, codomain) -> Iterator[dict[int, int]]:
     """Sparse rows {column: c} of d_N from the domain monomials to the
-    codomain monomials, columns in _column_weights order.  d_N is homogeneous,
-    so every exponent met is at most the codomain's largest x-degree."""
+    codomain monomials, columns in _column_weights order, made one at a time
+    (the GF(2) rank never holds the block's rows).  d_N is homogeneous, so
+    every exponent met is at most the codomain's largest x-degree."""
     weights = _column_weights(p.n, max(sum(xexp) for xexp, _ in codomain).bit_length())
     index = {k: j for j, k in enumerate(sorted(
         sum(map(mul, xexp, weights)) + omask for xexp, omask in codomain))}
     table = _generator_images(p)
     shifted = {omask: [(sum(map(mul, xe, weights)) + mask, c) for xe, mask, c in table[omask]]
                for omask in {omask for _, omask in domain}}
-    rows = []
     for xexp, omask in domain:
         base = sum(map(mul, xexp, weights))
-        rows.append({index[base + k]: c for k, c in shifted[omask]})
-    return rows
+        yield {index[base + k]: c for k, c in shifted[omask]}
 
 
 def homology_ranks(p: DgParams, qcut: int) -> dict[tuple[int, int], int]:
@@ -198,19 +207,47 @@ def homology_ranks(p: DgParams, qcut: int) -> dict[tuple[int, int], int]:
     q <= qcut; complexes are finite per Q = q + 2N.h so no truncation margin
     is needed beyond enumerating the relevant Q values.  The caches live for
     one call: each polynomial-side block is enumerated, and each d_N block
-    ranked, once."""
+    ranked, once over GF(2) and at most once exactly; no matrix is kept.
+
+    The block B(q, h): C_h(q) -> C_{h-1}(q+2N) takes its GF(2) rank r_2 when
+    a neighbouring chain group is accounted for over GF(2):
+    r_2(B(q, h)) + r_2(B(q-2N, h+1)) = dim C_h(q), or
+    r_2(B(q+2N, h-1)) + r_2(B(q, h)) = dim C_{h-1}(q+2N).  This is exact: an
+    integer matrix has r_2 <= its rational rank r_Q, and d_N^2 = 0 over Z
+    gives r_Q(out of C) + r_Q(into C) <= dim C, so both rational ranks equal
+    their GF(2) ranks there.  Every other block is ranked exactly.  A GF(2)
+    sum above the dimension means d_N^2 != 0 mod 2, a bug: ArithmeticError.
+    """
     @cache
     def block(q: int, h: int) -> list[Monomial]:
         return monomials_at(p.n, p.m, q, 2 * h)
 
     @cache
-    def rank_d(q: int, h: int) -> int:
-        """Rank of d_N out of the (q, h) block (0 if it or its target is
-        empty, as always unless 0 < h <= n)."""
+    def rank_mod2(q: int, h: int) -> int:
+        """GF(2) rank of d_N out of the (q, h) block (0 if it or its target
+        is empty, as always unless 0 < h <= n)."""
         if not 0 < h <= p.n:
             return 0
         here, below = block(q, h), block(q + 2 * p.N, h - 1)
-        return rank(_poly_d_matrix(p, here, below), len(below)) if here and below else 0
+        return rank_gf2(_poly_d_rows(p, here, below)) if here and below else 0
+
+    @cache
+    def rank_d(q: int, h: int) -> int:
+        """Rational rank of d_N out of the (q, h) block: pinned, or exact."""
+        if not 0 < h <= p.n:
+            return 0
+        here, below = block(q, h), block(q + 2 * p.N, h - 1)
+        if not (here and below):
+            return 0
+        r = rank_mod2(q, h)
+        for (nq, nh), dim in (((q - 2 * p.N, h + 1), len(here)),
+                              ((q + 2 * p.N, h - 1), len(below))):
+            total = r + rank_mod2(nq, nh)
+            if total > dim:
+                raise ArithmeticError(f"GF(2) ranks at {(q, h)} sum above {dim}: d_N^2 != 0 mod 2")
+            if total == dim:
+                return r
+        return rank(list(_poly_d_rows(p, here, below)), len(below))
 
     def poly_homology_at(q: int, h: int) -> int:
         """Rational homology of the polynomial-side complex at (q, h)."""

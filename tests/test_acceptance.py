@@ -57,8 +57,9 @@ def test_criterion_2_basis_rank():
     for n in range(0, 5):
         for m in (-1, 0):
             tallied: dict = {}
+            zero = E.zero(n, m)  # monomial_bidegree reads only m and the key
             for key in basis(n, m, qcut):
-                q, l = E(n, m, {key: 1}).monomial_bidegree(key)
+                q, l = zero.monomial_bidegree(key)
                 k = (q, l, (l // 2) & 1)
                 tallied[k] = tallied.get(k, 0) + 1
             series = grdim_An(n, m, qcut)

@@ -1,8 +1,13 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import supernilhecke
 from supernilhecke.algebra import AlgebraElement, random_element
 from supernilhecke.cli import main
 from supernilhecke.exprparse import (
@@ -398,3 +403,22 @@ def test_repeated_calls_print_identical_output(capsys):
                  ("homology", "--n", "2", "--N", "3", "--qcut", "8", "--format", "text")):
         first, second = run_cli(capsys, *argv), run_cli(capsys, *argv)
         assert first[0] == 0 and first == second, argv
+
+
+def test_closed_stdout_exits_141_without_a_traceback():
+    # a reader that stops after one line, as `| head -n 1` does; the output
+    # (about 110 KB) is larger than a pipe buffer, so the CLI meets the
+    # closed pipe while it writes
+    src = str(Path(supernilhecke.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    argv = [sys.executable, "-m", "supernilhecke", "cyclotomic", "--n", "1", "--N", "6000",
+            "--qcut", "12000", "--format", "text"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as child:
+        first = child.stdout.readline()
+        child.stdout.close()
+        err = child.stderr.read()
+        code = child.wait(timeout=60)
+    assert first == b"q\tlambda\tdim\n"
+    assert code == 141
+    assert b"Traceback" not in err and b"internal error" not in err

@@ -1,16 +1,18 @@
 import random
+from collections import Counter
 
 import pytest
 
 from supernilhecke import dgstructure
-from supernilhecke.algebra import AlgebraElement, basis, random_element
+from supernilhecke.algebra import AlgebraElement, basis, random_element, ring_monomials
 from supernilhecke.dgstructure import (
-    DgParams, apply_dN, derivation_extend, generator_image, homological_degree,
-    homology_ranks, nilhecke_cyclotomic_oracle, odd_images, verify_d_squared,
+    DgParams, _d_ring, _generator_images, _poly_d_rows, apply_dN, derivation_extend,
+    generator_image, homological_degree, homology_ranks, nilhecke_cyclotomic_oracle,
+    odd_images, verify_d_squared,
 )
 from supernilhecke.gradedseries import nilhecke_cyclotomic_grdim
 from supernilhecke.superring import (
-    SuperPolynomial, accumulate, labeled_omega, mask_to_indices,
+    SuperPolynomial, accumulate, labeled_omega, mask_to_indices, monomials_at, odd_degree,
 )
 from supernilhecke.symgroup import longest_element
 
@@ -197,8 +199,6 @@ def test_split_complex_matches_direct_matrices():
 
 def test_poly_d_matrix_columns_in_lex_order():
     # the packed column keys index each block in (xexp[::-1], omask) order
-    from supernilhecke.dgstructure import _d_ring, _generator_images, _poly_d_matrix
-    from supernilhecke.superring import monomials_at
     for n, m, N in ((1, -1, 3), (2, -1, 3), (3, 0, 3), (3, -2, 6), (4, -1, 4)):
         p, blocks = DgParams(n, m, N), 0
         table = _generator_images(p)
@@ -209,7 +209,7 @@ def test_poly_d_matrix_columns_in_lex_order():
                     order = sorted(below, key=lambda mono: (mono[0][::-1], mono[1]))
                     index = {mono: j for j, mono in enumerate(order)}
                     want = [{index[key]: c for key, c in _d_ring(table, *mono)} for mono in here]
-                    assert _poly_d_matrix(p, here, below) == want, (n, m, N, q, h)
+                    assert list(_poly_d_rows(p, here, below)) == want, (n, m, N, q, h)
                     blocks += 1
         assert blocks
 
@@ -296,19 +296,121 @@ def test_derivation_extend_matches_ring_products(n, m):
                 _extend_by_ring_products(n, m, images, u), (n, m, u)
 
 
-@pytest.mark.parametrize("qcut", (-6, 0, 8))
-def test_d_squared_sweep_covers_the_basis_ring_parts(qcut, monkeypatch):
-    # the sweep visits each ring part of basis(n, m, qcut) once, and no other
-    swept, enumerate_ring = [], dgstructure.ring_monomials
+def reference_d_squared_sweep(p, qcut, images=None):
+    """The slow path: d(d(x^a w^S)) = 0 for every ring monomial of q-degree
+    <= qcut + n(n-1), the ring parts of basis(n, m, qcut), each through two
+    applications of _d_ring."""
+    table = _generator_images(p) if images is None else odd_images(p.n, images)
+    for xexp, omask in ring_monomials(p.n, p.m, qcut + p.n * (p.n - 1)):
+        dd = {}
+        for (xe, om), c in _d_ring(table, xexp, omask):
+            accumulate(dd, ((key, c * cc) for key, cc in _d_ring(table, xe, om)))
+        if dd:
+            return False
+    return True
 
-    def recording(*args):
-        swept.append(enumerate_ring(*args))
-        return swept[-1]
-    monkeypatch.setattr(dgstructure, "ring_monomials", recording)
+
+def test_d_squared_on_masks_agrees_with_the_sweep():
+    rng = random.Random(4)
+    for n, m, N, qcut in ((1, -1, 2, 6), (2, -1, 2, 6), (2, 0, 1, 4), (3, -1, 2, 0),
+                          (3, 0, 1, 4), (3, -2, 6, 2), (4, -1, 4, -6)):
+        p = DgParams(n, m, N)
+        # d_N: both say d^2 = 0
+        assert reference_d_squared_sweep(p, qcut)
+        assert verify_d_squared(p, qcut, samples=3)
+        # images with odd parts: d^2 != 0 inside the budget, and both see it
+        for _ in range(2):
+            images = _odd_images(n, m, rng)
+            assert not reference_d_squared_sweep(p, qcut, images)
+            assert not verify_d_squared(p, qcut, samples=3, images=images)
+    # d(w_1) = w_1 gives d^2(w_1) = w_1 != 0, but deg w_1 = 2 lies above the
+    # budget qcut + n(n-1) = 0: no basis monomial at q <= 0 has an odd factor
+    p, images = DgParams(1, 1, 0), {1: SuperPolynomial.w(1, 1, 1)}
+    w1 = E.w(1, 1, 1)
+    table = odd_images(1, images)
+    assert derivation_extend(1, 1, table, derivation_extend(1, 1, table, w1)) == w1
+    assert reference_d_squared_sweep(p, 0, images)
+    assert verify_d_squared(p, 0, images=images)
+    assert not reference_d_squared_sweep(p, 2, images)
+    assert not verify_d_squared(p, 2, images=images)
+
+
+@pytest.mark.parametrize("qcut", (-6, 0, 8))
+def test_d_squared_checks_each_basis_mask_once(qcut, monkeypatch):
+    # d^2 is checked on w^S for each odd mask S of basis(n, m, qcut), and on
+    # no other mask
+    checked, check = [], dgstructure._d_squared_zero
+
+    def recording(table, n, omask):
+        checked.append(omask)
+        return check(table, n, omask)
+    monkeypatch.setattr(dgstructure, "_d_squared_zero", recording)
     for n in range(4):
         for m in (-2, -1, 0, 1):
-            swept.clear()
+            checked.clear()
             assert verify_d_squared(DgParams(n, m, 2 - m), qcut, samples=0)
-            (monos,) = swept
-            assert len(monos) == len(set(monos))
-            assert set(monos) == {k[:2] for k in basis(n, m, qcut)}, (n, m, qcut)
+            assert len(checked) == len(set(checked))
+            assert set(checked) == {k[1] for k in basis(n, m, qcut)}, (n, m, qcut)
+
+
+def _blocks_built(monkeypatch):
+    """Record the (q, h) of every d_N block whose rows homology_ranks builds."""
+    built, rows = Counter(), dgstructure._poly_d_rows
+
+    def recording(p, domain, codomain):
+        xexp, omask = domain[0]
+        built[2 * sum(xexp) + odd_degree(p.m, omask), omask.bit_count()] += 1
+        return rows(p, domain, codomain)
+    monkeypatch.setattr(dgstructure, "_poly_d_rows", recording)
+    return built
+
+
+def _exact_table(monkeypatch, p, qcut):
+    """homology_ranks with no block pinned: a GF(2) rank of 0 pins none."""
+    with monkeypatch.context() as patch:
+        patch.setattr(dgstructure, "rank_gf2", lambda rows: 0)
+        return homology_ranks(p, qcut)
+
+
+# the homology points of the dg benchmark catalogue
+DG_CATALOGUE_POINTS = sorted(
+    {(3, m, L - m, 10) for m in (0, 1) for L in range(5)}
+    | {(n, m, L - m, 12) for m in (-2, -1, 0, 1) for L in range(5) if L >= m for n in (1, 2)}
+    | {(3, 0, 2, 8), (3, -1, 2, 8), (3, 0, 1, 10), (3, 1, 2, 9), (3, 0, 2, 9),
+       (3, -1, 2, 9), (3, 1, 2, 10), (3, 0, 1, 8), (2, -1, 2, 10), (2, -2, 4, 10),
+       (2, 0, 2, 10), (2, 1, 1, 10), (2, -1, 4, 10)})
+
+
+@pytest.mark.parametrize("n, m, N, qcut", DG_CATALOGUE_POINTS)
+def test_homology_pins_every_block_and_equals_exact_ranks(n, m, N, qcut, monkeypatch):
+    p = DgParams(n, m, N)
+    exact = _exact_table(monkeypatch, p, qcut)
+    built = _blocks_built(monkeypatch)
+    assert homology_ranks(p, qcut) == exact
+    assert all(count == 1 for count in built.values())  # no exact fallback
+
+
+def test_homology_falls_back_on_every_block_when_nothing_is_pinned(monkeypatch):
+    # images times 2: d_N^2 = 0 still, the ranks over Q are unchanged, and
+    # every GF(2) rank is 0, so no non-empty block can be pinned
+    images = dgstructure._generator_images
+    for n, m, N, qcut in ((2, -1, 3, 10), (3, 0, 2, 6), (3, 1, 3, 4)):
+        p = DgParams(n, m, N)
+        want = homology_ranks(p, qcut)
+        with monkeypatch.context() as patch:
+            patch.setattr(dgstructure, "_generator_images", lambda p: tuple(
+                tuple((xe, mask, 2 * c) for xe, mask, c in entry) for entry in images(p)))
+            built = _blocks_built(patch)
+            assert homology_ranks(p, qcut) == want
+        needed = {(q, h) for h in range(1, n + 1) for q in range(-60, qcut + n * (n - 1) + 1)
+                  if monomials_at(n, m, q, 2 * h) and monomials_at(n, m, q + 2 * N, 2 * h - 2)}
+        assert needed and {block for block, count in built.items() if count == 2} == needed
+        assert all(count <= 2 for count in built.values())
+
+
+def test_homology_rejects_gf2_ranks_above_the_dimension(monkeypatch):
+    # r_2 <= r_Q and d_N^2 = 0 bound the GF(2) ranks around each chain group
+    from supernilhecke.linalg import rank_gf2
+    monkeypatch.setattr(dgstructure, "rank_gf2", lambda rows: rank_gf2(rows) + 1)
+    with pytest.raises(ArithmeticError):
+        homology_ranks(DgParams(2, -1, 3), 8)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from supernilhecke.linalg import IntEchelon, rank, solve, sparse_det
+from supernilhecke.linalg import IntEchelon, rank, rank_gf2, solve, sparse_det
 
 
 def bareiss(matrix):
@@ -117,6 +117,48 @@ def test_rank_edge_shapes():
     assert rank(sparse([[2, 4], [3, 6]]), 2) == 1
     assert rank(sparse([[2, 3], [4, 5]]), 2) == 2
     assert rank([{1: 0}, {0: 5, 2: 0}], 3) == 1  # zero values are no entries
+
+
+def dense_rank_mod2(matrix):
+    """Dense Gaussian elimination over GF(2) on the entries mod 2: the
+    reference `rank_gf2` is checked against."""
+    m = [[v & 1 for v in row] for row in matrix]
+    cols = len(m[0]) if m else 0
+    r = 0
+    for c in range(cols):
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                m[i] = [a ^ b for a, b in zip(m[i], m[r])]
+        r += 1
+    return r
+
+
+def test_rank_gf2_matches_dense_mod2_elimination():
+    rng = random.Random(271828)
+    shapes = [(0, 0), (0, 5), (1, 1), (1, 7), (7, 1), (1, 40), (40, 1)]
+    shapes += [(rng.randrange(1, 12), rng.randrange(1, 70)) for _ in range(300)]
+    for rows, cols in shapes:
+        m = random_matrix(rng, rows, cols, rng.choice((0.05, 0.2, 0.5, 1.0)))
+        if m:
+            m = degenerate(rng, m)
+        ncols = len(m[0]) if m else cols
+        want = dense_rank_mod2(m)
+        assert rank_gf2(sparse(m)) == want, m
+        assert rank_gf2(iter(sparse(m))) == want  # rows are read once, in order
+        assert want <= rank(sparse(m), ncols)
+
+
+def test_rank_gf2_edge_shapes():
+    assert rank_gf2([]) == 0
+    assert rank_gf2([{}]) == 0
+    assert rank_gf2([{0: 2, 3: -4}]) == 0  # even entries vanish mod 2
+    assert rank_gf2([{0: 3}, {0: -5}]) == 1
+    assert rank_gf2([{0: 1, 1: 1}, {1: 1, 2: 1}, {0: 1, 2: 1}]) == 2  # rank 3 over Q
+    assert rank_gf2([{200: 1}, {0: 1, 200: 1}, {0: 3}]) == 2
 
 
 def test_rank_rejects_columns_out_of_range():
