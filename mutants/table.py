@@ -1,0 +1,97 @@
+"""The committed mutants: small edits to the package that named tests must
+catch, and equivalent edits that no test can catch, each with its reason.
+
+An entry replaces the exact text ``old``, which must occur once in ``path``,
+with ``new``.  ``kill`` lists the test ids (as pytest prints them, relative
+to the repository root) that must each fail on the mutant.  An equivalent
+mutant has an empty ``kill`` and says in ``reason`` why it cannot be caught.
+"""
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+ALGEBRA = "src/supernilhecke/algebra.py"
+T_ALGEBRA = "tests/test_algebra.py::"
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str
+    old: str
+    new: str
+    kill: tuple[str, ...] = ()
+    reason: str = ""
+
+
+MUTANTS = (
+    Mutant(
+        "shift-drops-koszul-sign", ALGEBRA,
+        "yield (tuple(map(add, xexp, e)), mask, k), sign * c * cc",
+        "yield (tuple(map(add, xexp, e)), mask, k), c * cc",
+        kill=(T_ALGEBRA + "test_shift_is_the_product_by_a_ring_monomial",
+              T_ALGEBRA + "test_mul_matches_reference_product",
+              T_ALGEBRA + "test_phi",
+              "tests/test_induction.py::test_crossing_map_is_balanced"),
+    ),
+    Mutant(
+        "shift-ignores-mask-overlap", ALGEBRA,
+        "sign, mask = _merge_masks(omask, o)",
+        "sign, mask = _merge_masks(omask & ~o, o)",
+        kill=(T_ALGEBRA + "test_shift_is_the_product_by_a_ring_monomial",
+              T_ALGEBRA + "test_mul_matches_reference_product",
+              T_ALGEBRA + "test_spanning_table_rows_match_reference_sequence[x1*wn n=2]"),
+    ),
+    Mutant(
+        "times-tests-composed-perm-for-truth", ALGEBRA,
+        "if (perm := _compose_adding(rho, sigma)) is not None",
+        "if (perm := _compose_adding(rho, sigma))",
+        kill=(T_ALGEBRA + "test_mul_matches_reference_product",),
+    ),
+    Mutant(
+        "cyclotomic-lambda-is-mask-size", ALGEBRA,
+        "if 2 * s.bit_count() == key[1])",
+        "if s.bit_count() == key[1])",
+        kill=(T_ALGEBRA + "test_cyclotomic_grdim",
+              "tests/test_gradedseries.py::test_cyclotomic_grdim_closed_form_matches_span[2-2-16]",
+              "tests/test_cli.py::test_cyclotomic_command"),
+    ),
+    Mutant(
+        "cyclotomic-ranks-one-q-too-few", ALGEBRA,
+        "rank0 = nilhecke_ideal_ranks(n, N, qcut + n * (n + 1))",
+        "rank0 = nilhecke_ideal_ranks(n, N, qcut + n * (n + 1) - 2)",
+        kill=(T_ALGEBRA + "test_cyclotomic_grdim",
+              "tests/test_gradedseries.py::test_cyclotomic_grdim_closed_form_matches_span[2-2-16]",
+              "tests/test_cli.py::test_cyclotomic_command"),
+    ),
+    Mutant(
+        "homology-skips-lowest-q", "src/supernilhecke/dgstructure.py",
+        "for q in range(sum(odd[:h]) - shift, qcut + 1):",
+        "for q in range(sum(odd[:h]) - shift + 1, qcut + 1):",
+        kill=("tests/test_dgstructure.py::test_homology_small_cases",
+              "tests/test_cli.py::test_homology_command"),
+    ),
+    Mutant(
+        "strand-minima-last-prefix", "src/supernilhecke/symgroup.py",
+        "if track[k] < minima[k]:",
+        "if track[k] <= minima[k]:",
+        kill=("tests/test_symgroup.py::test_partition_word_paper_example",
+              "tests/test_symgroup.py::test_partition_word_reassembles"),
+    ),
+    Mutant(
+        "reduce-without-sign-flip", "src/supernilhecke/linalg.py",
+        "        if a < 0:\n            a, b = -a, -b\n",
+        "",
+        reason="with a < 0 the step a*row - b*pivot still clears the column; "
+               "the returned scale carries the sign into sparse_det, and rank, "
+               "IntEchelon and solve read only whether a remainder is left and "
+               "its lead column",
+    ),
+    Mutant(
+        "twisted-greatest-left-descent", "src/supernilhecke/induction.py",
+        "for i in range(1, n1 - 1) if",
+        "for i in reversed(range(1, n1 - 1)) if",
+        reason="T_{t x 1} = T_i T_{s_i t x 1} for any left descent i of t, "
+               "so every choice caches the same element",
+    ),
+)

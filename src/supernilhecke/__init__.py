@@ -29,8 +29,8 @@ from .invariants import (
 )
 from .superring import (
     SuperPolynomial, apply_perm, apply_simple, complete_h, demazure,
-    demazure_perm, demazure_word, elementary_e, labeled_omega,
-    labeled_omega_closed, omega_to_top, omega_top_decomposition,
+    demazure_perm, demazure_word, elementary_e, labeled_omega, omega_to_top,
+    omega_top_decomposition,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

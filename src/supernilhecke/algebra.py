@@ -18,9 +18,9 @@ from operator import add
 
 from . import symgroup
 from .superring import (
-    LinearCombination, SuperPolynomial, Monomial, _merge_masks, apply_simple,
-    demazure, demazure_word, exponent_vectors, labeled_omega, mask_to_indices,
-    monomials_at, odd_degree,
+    LinearCombination, SuperPolynomial, Monomial, _merge_masks, accumulate,
+    apply_simple, demazure, demazure_word, exponent_vectors, labeled_omega,
+    mask_to_indices, monomials_at, odd_degree,
 )
 from .symgroup import Perm, Word
 
@@ -126,34 +126,44 @@ def _compose_adding(rho: Perm, sigma: Perm) -> Perm | None:
 def _times(left: dict[Perm, SuperPolynomial],
            right: dict[Perm, SuperPolynomial]) -> dict[TermKey, int]:
     """Terms of the product of two elements given as groups perm -> ring part:
-    f T_theta . g T_sigma = sum_rho f h_rho T_rho T_sigma, where T_theta . g =
-    sum_rho h_rho T_rho comes from push_T_through once per (theta, terms of
-    g) in the call, even if g recurs under another sigma.  A unit g needs no
-    push or product: T_theta . 1 = T_theta, so f goes under theta.sigma."""
+    f T_theta . g T_sigma is the sum of the shifts of z = sum_rho h_rho
+    T_{rho sigma} by the monomials of f, where T_theta . g = sum_rho h_rho
+    T_rho comes from push_T_through once per (theta, terms of g) in the call,
+    even if g recurs under another sigma, and T_rho T_sigma = 0 unless the
+    lengths add.  A unit g needs no push: T_theta . 1 = T_theta."""
     out: dict[TermKey, int] = {}
     push_cache: dict = {}
     for sigma, g in right.items():
         gkey = tuple(g.terms.items())
         unit = gkey == ((((0,) * g.n, 0), 1),)
         for theta, f in left.items():
-            pushed = {theta: None} if unit else push_cache.get((theta, gkey))
+            pushed = {theta: g} if unit else push_cache.get((theta, gkey))
             if pushed is None:
                 pushed = push_cache[theta, gkey] = push_T_through(
                     symgroup.reduced_word(theta), g)
-            for rho, h in pushed.items():
-                prod_perm = _compose_adding(rho, sigma)
-                if prod_perm is None:
-                    continue
-                # Inline rather than accumulate(): a generator per product
-                # took about 8% more CPU time on the cyclotomic workload.
-                for key, c in (f if h is None else f * h).terms.items():
-                    tk = (key[0], key[1], prod_perm)
-                    v = out.get(tk, 0) + c
-                    if v:
-                        out[tk] = v
-                    else:
-                        out.pop(tk, None)
+            # the identity of S_0 is (), so test for None, not for truth
+            z = [((e, o, perm), c) for rho, h in pushed.items()
+                 if (perm := _compose_adding(rho, sigma)) is not None
+                 for (e, o), c in h.terms.items()]
+            for (xexp, omask), c in f.terms.items():
+                accumulate(out, shift(xexp, omask, c, z))
     return out
+
+
+def shift(xexp, omask: int, c: int, terms):
+    """The terms (key, coefficient) of c x^a w^S . z, a = xexp and S = omask,
+    for the terms ((e, O, k), cc) of a normal form z.  A ring monomial
+    multiplies a normal form from the left with no push: x^a w^S . x^e w^O T_k
+    is 0 when S and O meet, else the Koszul sign of _merge_masks(S, O) times
+    x^{a+e} w^{S+O} T_k.  e, O and k can be read back from that key, so
+    distinct terms land on distinct keys.  Keys are unpacked as exact
+    triples: the ring-level loops (SuperPolynomial.__mul__, odd_images,
+    _d_ring) keep their own, since a key-generic form measured 8-10% slower
+    on the cyclotomic jobs."""
+    for (e, o, k), cc in terms:
+        sign, mask = _merge_masks(omask, o)
+        if sign:
+            yield (tuple(map(add, xexp, e)), mask, k), sign * c * cc
 
 
 def push_T_through(letters: Word, f: SuperPolynomial) -> dict[Perm, SuperPolynomial]:
@@ -444,9 +454,8 @@ def spanning_rank_table(n: int, m: int, middle: AlgebraElement,
     spans the ideal.  Otherwise (as for idempotent_e) v ranges over all basis
     monomials.  For u = x^a w^S T_r, associativity gives the row
     u . z . v = x^a w^S . G_{r,v}, with G_{r,v} = T_r . z . v formed once per
-    call.  The shift sends a term x^e w^O T_k of G_{r,v} to 0 if S and O meet,
-    else to +-x^{a+e} w^{S+O} T_k, from which e, O and k can be read back, so
-    distinct terms land on distinct keys and nothing accumulates.  Rows go
+    call, and the row is shift(a, S, 1, G_{r,v}): distinct terms land on
+    distinct keys, so nothing accumulates.  Rows go
     per degree of v in order of first appearance, then u in basis_at_bidegree
     order, then v; zero rows are skipped.
     """
@@ -479,11 +488,7 @@ def spanning_rank_table(n: int, m: int, middle: AlgebraElement,
         for (qv, lv), rs in rights.items():
             for a, s, r in left_basis(q - dq - qv, l - dl - lv):
                 for v in rs:
-                    row = {}
-                    for (e, o, k), c in generator(r, v):
-                        sign, mask = _merge_masks(s, o)
-                        if sign:
-                            row[index[tuple(map(add, a, e)), mask, k]] = sign * c
+                    row = {index[key]: c for key, c in shift(a, s, 1, generator(r, v))}
                     if row and ech.add(row) and ech.is_full():
                         return ech.rank
         return ech.rank

@@ -27,21 +27,21 @@ ArithmeticError instead of returning wrong coordinates or looping.
 Family products are shifts, not general products.  For a basis monomial
 u = x^k w^S T_t of the n-strand algebra and an (n+1)-strand z,
 embed(u) . z = x^k w^S . (T_{t x 1} . z), and a ring monomial multiplies a
-normal form from the left with only a Koszul sign.  So T_{t x 1} . G is
-cached once per family generator G and t, and the elimination, crossing_map
-and the cokernel part of recombine_ses read every product off those caches.
-recombine_left keeps the general product: it is the independent slow path
-that the left round-trip tests hold the shifts to.
+normal form from the left with only a Koszul sign (algebra.shift).  So
+T_{t x 1} . G is cached once per family generator G and t, and the
+elimination, crossing_map and the cokernel part of recombine_ses read every
+product off those caches as a shift.  recombine_left keeps the general
+product, which pushes T_{t x 1} through each generator afresh: the slow path
+that the left round-trip tests hold the cached twists to.
 """
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from operator import add
 
 from . import symgroup
-from .algebra import AlgebraElement, TermKey, theta_dotted
-from .superring import _merge_masks, accumulate
+from .algebra import AlgebraElement, TermKey, shift, theta_dotted
+from .superring import accumulate
 from .symgroup import Perm
 
 
@@ -120,26 +120,12 @@ def _twisted(cached, n1: int, m: int, t: Perm, base, *args) -> AlgebraElement:
     return AlgebraElement._adopt(n1, m, {_KEYS.setdefault(k, k): c for k, c in z.terms.items()})
 
 
-def _shift(ukey: TermKey, twisted: AlgebraElement):
-    """Terms of embed(u) . z for the n-strand basis monomial u = x^k w^S T_t =
-    ukey, given twisted = T_{t x 1} . z.  A ring monomial multiplies a
-    normal form from the left with no push: x^k w^S . x^e w^O T_rho is 0 when
-    S and O meet, else the Koszul sign of _merge_masks(S, O) times
-    x^{k+e} w^{S+O} T_rho.  e, O and rho can be read back from that key, so
-    distinct terms land on distinct keys."""
-    xexp, s, _ = ukey
-    k = xexp + (0,)
-    for (e, o, rho), c in twisted.terms.items():
-        sign, mask = _merge_masks(s, o)
-        if sign:
-            yield (tuple(map(add, k, e)), mask, rho), sign * c
-
-
 def _family_element(n1: int, m: int, ukey: TermKey, a: int, p: int, odd: bool,
                     plain: bool) -> AlgebraElement:
     """u . (the generator at (a, p)) for the n-strand basis monomial u = ukey."""
     twisted = _twisted_family(n1, m, ukey[2], a, p, odd, plain)
-    return AlgebraElement._adopt(n1, m, dict(_shift(ukey, twisted)))
+    return AlgebraElement._adopt(n1, m, dict(
+        shift(ukey[0] + (0,), ukey[1], 1, twisted.terms.items())))
 
 
 def _left_times(n1: int, m: int, u: AlgebraElement, twisted, *args) -> AlgebraElement:
@@ -147,8 +133,8 @@ def _left_times(n1: int, m: int, u: AlgebraElement, twisted, *args) -> AlgebraEl
     gives T_{t x 1} . z."""
     terms: dict[TermKey, int] = {}
     for ukey, c in u.terms.items():
-        accumulate(terms, ((key, c * d) for key, d in
-                           _shift(ukey, twisted(n1, m, ukey[2], *args))))
+        accumulate(terms, shift(ukey[0] + (0,), ukey[1], c,
+                                twisted(n1, m, ukey[2], *args).terms.items()))
     return AlgebraElement._adopt(n1, m, terms)
 
 

@@ -374,17 +374,13 @@ def elementary_e(n: int, m: int, j: int, lo: int, hi: int) -> SuperPolynomial:
 
 # ---- labeled odd generators ------------------------------------------------
 
+@lru_cache(maxsize=None)
 def labeled_omega(n: int, m: int, k: int, a: int) -> SuperPolynomial:
     """The labeled generator w_k^a, a >= m+1, expanded over the minimal-label
-    generators (w_k^a = w_{k-1}^{a-1} - x_k w_k^{a-1}, in closed form)."""
+    generators: w_k^a = w_{k-1}^{a-1} - x_k w_k^{a-1}, in the closed form
+    w_k^{m+1+t} = sum_l (-1)^{t+k+l} h_{t+l-k}(l..k) w_l."""
     if not 1 <= k <= n:
         raise ValueError(f"index {k} out of range 1..{n}")
-    return labeled_omega_closed(n, m, k, a)
-
-
-@lru_cache(maxsize=None)
-def labeled_omega_closed(n: int, m: int, k: int, a: int) -> SuperPolynomial:
-    """Closed form: w_k^{m+1+t} = sum_l (-1)^{t+k+l} h_{t+l-k}(l..k) w_l."""
     t = a - (m + 1)
     if t < 0:
         raise ValueError(f"label {a} below the minimal label {m + 1}")

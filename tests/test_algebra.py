@@ -19,7 +19,9 @@ from supernilhecke.induction import (
 )
 from supernilhecke.invariants import schubert
 from supernilhecke.linalg import IntEchelon, sparse_det
-from supernilhecke.superring import SuperPolynomial, apply_simple, demazure, monomials_at
+from supernilhecke.superring import (
+    SuperPolynomial, _merge_masks, apply_simple, demazure, monomials_at,
+)
 
 E = AlgebraElement
 
@@ -412,7 +414,7 @@ def reference_spanning_rank_table(n, m, middle, qcut):
 def test_mul_matches_reference_product():
     rng = random.Random(7)
     seen_multi_perm = seen_odd = 0
-    for n in (1, 2, 3, 4):
+    for n in (0, 1, 2, 3, 4):
         for m in (-1, 0, 1):
             zero = E.zero(n, m)
             for _ in range(10 if n < 4 else 4):
@@ -422,6 +424,10 @@ def test_mul_matches_reference_product():
                 seen_odd += any(k[1] for k in u.terms)
                 assert u * v == reference_mul(u, v), (n, m, u, v)
                 assert u * zero == zero and zero * v == zero
+            if n == 0:
+                # the identity of S_0 is the empty permutation ()
+                assert E.const(0, m, 3) * E.const(0, m, -2) == E.const(0, m, -6)
+                continue
             odd = E.w(n, m, n) * random_element(n, m, rng, nterms=2)
             assert odd * odd == reference_mul(odd, odd)
             if n >= 2:
@@ -430,6 +436,29 @@ def test_mul_matches_reference_product():
                 v = g + (g * E.T(n, m, 1)).scale(2)
                 assert u * v == reference_mul(u, v)
     assert seen_multi_perm and seen_odd
+
+
+def test_shift_is_the_product_by_a_ring_monomial():
+    # shift against reference_mul, which forms f . h with
+    # SuperPolynomial.__mul__ (the general product itself runs through shift)
+    assert list(algebra.shift((1, 0), 0b10, 3, [(((0, 2), 0b01, (2, 1)), 2)])) == \
+        [(((1, 2), 0b11, (2, 1)), -6)]  # w_2 w_1 = -w_1 w_2
+    assert not list(algebra.shift((0, 0), 0b01, 1, [(((0, 0), 0b11, (1, 2)), 1)]))
+    rng = random.Random(28)
+    seen_overlap = seen_odd_sign = 0
+    for n in (0, 1, 2, 3):
+        for m in (-1, 0):
+            for _ in range(15):
+                z = random_element(n, m, rng, nterms=5)
+                a = tuple(rng.randrange(3) for _ in range(n))
+                s = rng.randrange(1 << n)
+                c = rng.choice((-2, -1, 1, 3))
+                u = E.monomial(n, m, a, s, sg.identity(n), c)
+                got = dict(algebra.shift(a, s, c, z.terms.items()))
+                assert got == reference_mul(u, z).terms == (u * z).terms, (n, m, a, s, c, z)
+                seen_overlap += any(s & o for _, o, _ in z.terms)
+                seen_odd_sign += any(_merge_masks(s, o)[0] < 0 for _, o, _ in z.terms)
+    assert seen_overlap and seen_odd_sign
 
 
 def _homogeneous_multi_term(n, m, rng):
