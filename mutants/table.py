@@ -11,7 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 ALGEBRA = "src/supernilhecke/algebra.py"
+DGSTRUCTURE = "src/supernilhecke/dgstructure.py"
 T_ALGEBRA = "tests/test_algebra.py::"
+T_DG = "tests/test_dgstructure.py::"
 
 
 @dataclass(frozen=True)
@@ -65,11 +67,42 @@ MUTANTS = (
               "tests/test_cli.py::test_cyclotomic_command"),
     ),
     Mutant(
-        "homology-skips-lowest-q", "src/supernilhecke/dgstructure.py",
+        "leibniz-drops-koszul-sign", ALGEBRA,
+        "return tuple(((-1) ** _parity(fs[:j]) * c, *fs[:j], df, *fs[j + 1:])",
+        "return tuple((c, *fs[:j], df, *fs[j + 1:])",
+        kill=(T_DG + "test_d_squared_and_leibniz",
+              T_DG + "test_leibniz_on_relations_agrees_with_sampled_pairs",
+              "tests/test_cli.py::test_verify_dg_and_ses"),
+    ),
+    Mutant(
+        "presentation-drops-translation", ALGEBRA,
+        '            yield f"translate w{i+1}^{a}", ((1, wa[i + 1]), (-1, x[i + 1], mid), (1, mid, x[i]))\n'
+        '            yield f"translate w{i+1}^{a} (other form)", (\n'
+        "                (1, wa[i + 1]), (-1, mid, x[i + 1]), (1, x[i], mid))\n",
+        "",
+        reason="the translation, in both forms, lies in the two-sided ideal of "
+               "the commutation and nilHecke entries (T_i w_i T_i = -T_i w_{i+1}), "
+               "so its Leibniz expansion vanishes whenever theirs do, for any "
+               "images; verify_relations evaluates it in A_n, where it is 0",
+    ),
+    Mutant(
+        "homology-skips-lowest-q", DGSTRUCTURE,
         "for q in range(sum(odd[:h]) - shift, qcut + 1):",
         "for q in range(sum(odd[:h]) - shift + 1, qcut + 1):",
-        kill=("tests/test_dgstructure.py::test_homology_small_cases",
+        kill=(T_DG + "test_homology_small_cases",
               "tests/test_cli.py::test_homology_command"),
+    ),
+    Mutant(
+        "homology-runs-past-odd-qcut", DGSTRUCTURE,
+        "for q in range(sum(odd[:h]) - shift, qcut + 1):",
+        "for q in range(sum(odd[:h]) - shift, qcut + 3):",
+        kill=(T_DG + "test_homology_small_cases",),
+    ),
+    Mutant(
+        "check-columns-max-below-zero", "src/supernilhecke/linalg.py",
+        "min(row) < 0 or max(row) >= ncols",
+        "max(row) < 0 or max(row) >= ncols",
+        kill=("tests/test_linalg.py::test_rank_rejects_columns_out_of_range",),
     ),
     Mutant(
         "strand-minima-last-prefix", "src/supernilhecke/symgroup.py",

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import bisect
 import itertools
-from collections.abc import Collection
-from functools import lru_cache, partial
-from operator import add
+from collections.abc import Collection, Iterator
+from functools import cache, lru_cache, partial, reduce
+from operator import add, mul
+from typing import NamedTuple
 
 from . import symgroup
 from .superring import (
@@ -375,68 +376,114 @@ def random_element(n: int, m: int, rng, nterms: int = 4, maxexp: int = 2) -> Alg
     return AlgebraElement(n, m, {k: c for k, c in terms.items() if c})
 
 
-# ---- relation suite ----------------------------------------------------------
+# ---- presentation and relation suite -------------------------------------------
 
-def verify_relations(n: int, m: int) -> list[str]:
-    """Check every defining relation in normal form; returns failure messages
-    (empty on success).  Labeled variants run for labels m+1..m+4."""
-    failures: list[str] = []
-    E = AlgebraElement
+class Atom(NamedTuple):
+    """x_i, w_i^a, T_i or d(w_i^a): kind "x", "w", "T" or "dw"; a = 0 for x, T."""
+    kind: str
+    i: int
+    a: int = 0
 
-    def check(name, lhs, rhs):
-        if lhs != rhs:
-            failures.append(name)
 
-    one = E.one(n, m)
-    xs = {i: E.x(n, m, i) for i in range(1, n + 1)}
-    ws = {i: E.w(n, m, i) for i in range(1, n + 1)}
-    Ts = {i: E.T(n, m, i) for i in range(1, n)}
+def presentation(n: int, m: int) -> Iterator[tuple[str, tuple]]:
+    """The relations of A_n as data: (name, expression) pairs, each
+    expression 0 in A_n.  An expression is a tuple of terms (c, f_1, .., f_k)
+    for c f_1 .. f_k; a factor is an Atom or an expression of one parity,
+    such as T_i w_i T_i, evaluated once wherever it recurs.
+
+    The entries at label m+1 restate the definition of A_n by generators
+    x_i, w_i = w_i^{m+1}, T_i in Naisse-Vaz (arXiv:1603.01555) and in
+    arXiv:1704.08205: the nilHecke relations, super-commutativity of the x_i
+    and w_i, and T_i commuting with w_k (k != i) and w_i - x_{i+1} w_{i+1}.
+    Consequences kept only as checks (a derivation with the Leibniz rule on
+    relations has it on their consequences): labels m+2..m+4 (labeled_omega);
+    the translation w_{i+1} = x_{i+1} T_i w_i T_i - T_i w_i T_i x_i in both
+    forms, as T_i w_i T_i = -T_i w_{i+1}; and T1 w1 T1 w1 = -w1 T1 w1 T1.
+    """
+    x, T, w = ({i: Atom(kind, i, a) for i in range(1, n + 1)}
+               for kind, a in (("x", 0), ("T", 0), ("w", m + 1)))
+
+    def commute(f, g, sign=-1):
+        return (1, f, g), (sign, g, f)
 
     for i in range(1, n):
-        check(f"T{i}^2 = 0", Ts[i] * Ts[i], E.zero(n, m))
-        check(f"T{i} x{i} - x{i+1} T{i} = 1",
-              Ts[i] * xs[i] - xs[i + 1] * Ts[i], one)
-        check(f"T{i} x{i+1} - x{i} T{i} = -1",
-              Ts[i] * xs[i + 1] - xs[i] * Ts[i], -one)
+        yield f"T{i}^2 = 0", ((1, T[i], T[i]),)
+        yield f"T{i} x{i} - x{i+1} T{i} = 1", ((1, T[i], x[i]), (-1, x[i + 1], T[i]), (-1,))
+        yield f"T{i} x{i+1} - x{i} T{i} = -1", ((1, T[i], x[i + 1]), (-1, x[i], T[i]), (1,))
         for j in range(1, n + 1):
             if j - i not in (0, 1):
-                check(f"T{i} x{j} = x{j} T{i}", Ts[i] * xs[j], xs[j] * Ts[i])
+                yield f"T{i} x{j} = x{j} T{i}", commute(T[i], x[j])
     for i in range(1, n - 1):
-        check(f"braid T{i} T{i+1} T{i}",
-              Ts[i] * Ts[i + 1] * Ts[i], Ts[i + 1] * Ts[i] * Ts[i + 1])
+        yield f"braid T{i} T{i+1} T{i}", (
+            (1, T[i], T[i + 1], T[i]), (-1, T[i + 1], T[i], T[i + 1]))
     for i in range(1, n):
         for j in range(i + 2, n):
-            check(f"distant T{i} T{j}", Ts[i] * Ts[j], Ts[j] * Ts[i])
+            yield f"distant T{i} T{j}", commute(T[i], T[j])
     for i in range(1, n + 1):
         for j in range(1, n + 1):
-            check(f"x{i} x{j} commute", xs[i] * xs[j], xs[j] * xs[i])
-            check(f"x{i} w{j} commute", xs[i] * ws[j], ws[j] * xs[i])
+            yield f"x{i} x{j} commute", commute(x[i], x[j])
+            yield f"x{i} w{j} commute", commute(x[i], w[j])
             if i != j:
-                check(f"w{i} w{j} anticommute", ws[i] * ws[j], -(ws[j] * ws[i]))
-        check(f"w{i}^2 = 0", ws[i] * ws[i], E.zero(n, m))
-
+                yield f"w{i} w{j} anticommute", commute(w[i], w[j], 1)
+        yield f"w{i}^2 = 0", ((1, w[i], w[i]),)
     for a in range(m + 1, m + 5):
-        was = {k: E.w_labeled(n, m, k, a) for k in range(1, n + 1)}
+        wa = {k: Atom("w", k, a) for k in range(1, n + 1)}
         for i in range(1, n):
             for k in range(1, n + 1):
                 if k != i:
-                    check(f"T{i} w{k}^{a} commute", Ts[i] * was[k], was[k] * Ts[i])
-            combo = was[i] - xs[i + 1] * was[i + 1]
-            check(f"T{i} (w{i}^{a} - x{i+1} w{i+1}^{a}) commute",
-                  Ts[i] * combo, combo * Ts[i])
-        # floating-dot translation across a strand
+                    yield f"T{i} w{k}^{a} commute", commute(T[i], wa[k])
+            combo = ((1, wa[i]), (-1, x[i + 1], wa[i + 1]))
+            yield f"T{i} (w{i}^{a} - x{i+1} w{i+1}^{a}) commute", commute(T[i], combo)
         for i in range(1, n):
-            mid = Ts[i] * was[i] * Ts[i]
-            check(f"translate w{i+1}^{a}",
-                  was[i + 1], xs[i + 1] * mid - mid * xs[i])
-            check(f"translate w{i+1}^{a} (other form)",
-                  was[i + 1], mid * xs[i + 1] - xs[i] * mid)
-
+            mid = ((1, T[i], wa[i], T[i]),)
+            yield f"translate w{i+1}^{a}", ((1, wa[i + 1]), (-1, x[i + 1], mid), (1, mid, x[i]))
+            yield f"translate w{i+1}^{a} (other form)", (
+                (1, wa[i + 1]), (-1, mid, x[i + 1]), (1, x[i], mid))
     if n >= 2:
-        lhs = Ts[1] * ws[1] * Ts[1] * ws[1]
-        rhs = ws[1] * Ts[1] * ws[1] * Ts[1]
-        check("T1 w1 T1 w1 = - w1 T1 w1 T1", lhs, -rhs)
-    return failures
+        yield "T1 w1 T1 w1 = - w1 T1 w1 T1", (
+            (1, T[1], w[1], T[1], w[1]), (1, w[1], T[1], w[1], T[1]))
+
+
+def _parity(factors) -> int:
+    """The number of odd atoms in a product of presentation factors, mod 2."""
+    return sum(f.kind == "w" if isinstance(f, Atom) else _parity(f[0][1:])
+               for f in factors) % 2
+
+
+def leibniz(expr: tuple) -> tuple:
+    """The Leibniz expansion of a presentation expression under an odd
+    derivation d with d(x_i) = d(T_i) = 0: d on one odd atom at a time, with
+    the Koszul sign (-1)^(odd atoms before it), d(w_i^a) as Atom("dw", i, a)."""
+    def d(f):
+        if isinstance(f, Atom):
+            return Atom("dw", f.i, f.a) if f.kind == "w" else ()
+        return leibniz(f)
+    return tuple(((-1) ** _parity(fs[:j]) * c, *fs[:j], df, *fs[j + 1:])
+                 for c, *fs in expr for j, f in enumerate(fs) if (df := d(f)))
+
+
+def verify_relations(n: int, m: int, d=None) -> list[str]:
+    """Names of the entries of presentation(n, m) not 0 in normal form; given
+    d, an odd derivation on normal forms, of those whose Leibniz expansion is
+    not 0, ("dw", i, a) valued d(w_i^a).  Each factor is evaluated once."""
+    E = AlgebraElement
+
+    @cache
+    def value(f) -> AlgebraElement:
+        if isinstance(f, Atom):
+            if f.kind == "dw":
+                return d(value(f._replace(kind="w")))
+            return E.w_labeled(n, m, f.i, f.a) if f.kind == "w" else getattr(E, f.kind)(n, m, f.i)
+        out: dict[TermKey, int] = {}
+        for c, *fs in f:
+            u = reduce(mul, map(value, fs)) if fs else E.one(n, m)
+            accumulate(out, ((k, c * v) for k, v in u.terms.items()))
+        return E._adopt(n, m, out)
+
+    failed = [name for name, expr in presentation(n, m)
+              if not value(expr if d is None else leibniz(expr)).is_zero()]
+    value.cache_clear()  # value refers to itself, a cycle: free its values now
+    return failed
 
 
 # ---- cyclotomic quotients -----------------------------------------------------

@@ -173,7 +173,7 @@ def suite_schur(n: int, m: int, qcut: int, seed: int) -> list[str]:
 def suite_dg(n: int, m: int, N: int, qcut: int, seed: int) -> list[str]:
     failures = []
     params = DgParams(n, m, N)
-    if not verify_d_squared(params, qcut, seed=seed):
+    if not verify_d_squared(params, qcut):
         failures.append(f"dg({n},{m},{N}): d^2 or Leibniz fails")
     table = homology_ranks(params, qcut)
     if any(h != 0 for (_, h) in table):

@@ -186,8 +186,8 @@ def test_basis_n0():
 
 
 def test_random_basis_keys_draw_as_from_the_listed_basis():
-    # verify_d_squared samples its Leibniz pairs this way; the same seed must
-    # pick the same keys as indexing the listed basis did.  The pool is listed
+    # seeded tests draw their basis keys this way; the same seed must pick
+    # the same keys as indexing the listed basis does.  The pool is listed
     # here perm by perm, independently of basis() and its blocks.
     for n in range(0, 4):
         for m in (-2, -1, 1):
@@ -210,15 +210,20 @@ def test_verify_relations_passes():
         assert verify_relations(n, m) == [], (n, m)
 
 
-def test_verify_relations_detects_corruption():
-    # negative control: a deliberately wrong rewrite must fail in normal form
+def test_verify_relations_detects_corruption(monkeypatch):
+    # negative control: one entry of the table with a sign flipped inside
+    # fails in normal form, and no other entry does
     n, m = 2, -1
-    T1, w1, w2 = E.T(n, m, 1), E.w(n, m, 1), E.w(n, m, 2)
-    x2 = E.x(n, m, 2)
-    good = T1 * (w1 - x2 * w2)
-    bad = (w1 + x2 * w2) * T1  # sign corrupted
-    assert good != bad
-    assert good == (w1 - x2 * w2) * T1
+    table = list(algebra.presentation(n, m))
+    T1, x2 = algebra.Atom("T", 1), algebra.Atom("x", 2)
+    w1, w2 = algebra.Atom("w", 1, 0), algebra.Atom("w", 2, 0)
+    good, bad = ((1, w1), (-1, x2, w2)), ((1, w1), (1, x2, w2))
+    name = "T1 (w1^0 - x2 w2^0) commute"
+    k = [entry for entry, _ in table].index(name)
+    assert table[k][1] == ((1, T1, good), (-1, good, T1))
+    table[k] = (name, ((1, T1, bad), (-1, bad, T1)))
+    monkeypatch.setattr(algebra, "presentation", lambda n, m: table)
+    assert verify_relations(n, m) == [name]
 
 
 def test_tight_skeleton_patterns():

@@ -1,20 +1,24 @@
+import itertools
 import random
 from collections import Counter
 
 import pytest
 
 from supernilhecke import dgstructure
-from supernilhecke.algebra import AlgebraElement, basis, random_element, ring_monomials
+from supernilhecke.algebra import (
+    AlgebraElement, basis, random_basis_keys, random_element, ring_monomials,
+)
 from supernilhecke.dgstructure import (
     DgParams, _d_ring, _generator_images, _poly_d_rows, apply_dN, derivation_extend,
-    generator_image, homological_degree, homology_ranks, nilhecke_cyclotomic_oracle,
+    generator_image, homology_ranks, nilhecke_cyclotomic_oracle,
     odd_images, verify_d_squared,
 )
 from supernilhecke.gradedseries import nilhecke_cyclotomic_grdim
 from supernilhecke.superring import (
-    SuperPolynomial, accumulate, labeled_omega, mask_to_indices, monomials_at, odd_degree,
+    SuperPolynomial, accumulate, complete_h, labeled_omega, mask_to_indices, monomials_at,
+    odd_degree,
 )
-from supernilhecke.symgroup import longest_element
+from supernilhecke.symgroup import all_permutations, identity, longest_element
 
 E = AlgebraElement
 
@@ -49,6 +53,12 @@ def test_labeled_unit_image():
             p = DgParams(n, m, N)
             u = E.from_poly(labeled_omega(n, m, m + N + 1, m + 1))
             assert apply_dN(p, u) == E.one(n, m)
+
+
+def homological_degree(u):
+    """The number of odd factors of every term of u, or None if they differ."""
+    degs = {key[1].bit_count() for key in u.terms}
+    return degs.pop() if len(degs) == 1 else None
 
 
 def test_differential_bidegree():
@@ -115,6 +125,9 @@ def test_homology_small_cases():
     assert homology_ranks(DgParams(1, -1, 2), 10) == {(0, 0): 1}
     assert homology_ranks(DgParams(1, -1, 3), 10) == {(0, 0): 1, (2, 0): 1}
     assert homology_ranks(DgParams(1, 0, 2), 10) == {(0, 0): 1, (2, 0): 1}
+    # an odd qcut leaves out q = qcut + 1, which holds 8 at n = 3, L = 3
+    assert all(q <= 1 for q, _ in homology_ranks(DgParams(3, 0, 3), 1))
+    assert homology_ranks(DgParams(3, 0, 3), 2)[2, 0] == 8
 
 
 def test_homology_concentrated_and_matches_oracle(monkeypatch):
@@ -317,12 +330,12 @@ def test_d_squared_on_masks_agrees_with_the_sweep():
         p = DgParams(n, m, N)
         # d_N: both say d^2 = 0
         assert reference_d_squared_sweep(p, qcut)
-        assert verify_d_squared(p, qcut, samples=3)
+        assert verify_d_squared(p, qcut)
         # images with odd parts: d^2 != 0 inside the budget, and both see it
         for _ in range(2):
             images = _odd_images(n, m, rng)
             assert not reference_d_squared_sweep(p, qcut, images)
-            assert not verify_d_squared(p, qcut, samples=3, images=images)
+            assert not verify_d_squared(p, qcut, images=images)
     # d(w_1) = w_1 gives d^2(w_1) = w_1 != 0, but deg w_1 = 2 lies above the
     # budget qcut + n(n-1) = 0: no basis monomial at q <= 0 has an odd factor
     p, images = DgParams(1, 1, 0), {1: SuperPolynomial.w(1, 1, 1)}
@@ -348,9 +361,68 @@ def test_d_squared_checks_each_basis_mask_once(qcut, monkeypatch):
     for n in range(4):
         for m in (-2, -1, 0, 1):
             checked.clear()
-            assert verify_d_squared(DgParams(n, m, 2 - m), qcut, samples=0)
+            assert verify_d_squared(DgParams(n, m, 2 - m), qcut)
             assert len(checked) == len(set(checked))
             assert set(checked) == {k[1] for k in basis(n, m, qcut)}, (n, m, qcut)
+
+
+def reference_leibniz_sampled(p, qcut, images=None, samples=50, seed=0):
+    """The sampled path: d^2 on the odd masks, then the graded Leibniz rule
+    against the product on all generator pairs and on seeded random basis
+    pairs, the left one first checked for d(f T_s) = d(f) T_s at every s."""
+    table = _generator_images(p) if images is None else odd_images(p.n, images)
+    e = identity(p.n)
+
+    def d(u):
+        return derivation_extend(p.n, p.m, table, u)
+
+    def leibniz_ok(u, v):
+        sign = -1 if homological_degree(u) & 1 else 1
+        return d(u * v) == d(u) * v + (u * d(v)).scale(sign)
+
+    def equivariant(ring):
+        df = d(E(p.n, p.m, {(*ring, e): 1}))
+        return all(d(E(p.n, p.m, {(*ring, s): 1})) == df * E.T_perm(p.n, p.m, s)
+                   for s in all_permutations(p.n) if s != e)
+
+    budget = qcut + p.n * (p.n - 1)
+    if not all(dgstructure._d_squared_zero(table, p.n, omask) for omask in range(1 << p.n)
+               if odd_degree(p.m, omask) <= budget):
+        return False
+    gens = ([E.x(p.n, p.m, i) for i in range(1, p.n + 1)]
+            + [E.w(p.n, p.m, i) for i in range(1, p.n + 1)]
+            + [E.T(p.n, p.m, i) for i in range(1, p.n)])
+    if not all(leibniz_ok(u, v) for u in gens for v in gens):
+        return False
+    draws = random_basis_keys(p.n, p.m, min(qcut, 6), random.Random(seed))
+    return all(equivariant(k1[:2]) and leibniz_ok(E(p.n, p.m, {k1: 1}), E(p.n, p.m, {k2: 1}))
+               for k1, k2 in itertools.islice(zip(draws, draws), samples))
+
+
+def test_leibniz_on_relations_agrees_with_sampled_pairs():
+    # d_N at n <= 4: both accept
+    for n, m, N, qcut in ((1, -1, 2, 6), (2, -1, 2, 8), (2, -2, 4, 6), (3, 0, 2, 6),
+                          (3, 1, 3, 4), (4, -1, 4, 0)):
+        p = DgParams(n, m, N)
+        assert verify_d_squared(p, qcut) and reference_leibniz_sampled(p, qcut), (n, m, N)
+    # the corrupted images of test_corrupted_images_detected: both reject
+    p = DgParams(2, -1, 2)
+    bad = {i: generator_image(p, i).scale(-1 if i == 2 else 1) for i in (1, 2)}
+    assert not verify_d_squared(p, 6, images=bad)
+    assert not reference_leibniz_sampled(p, 6, images=bad)
+    # one even image changed by c h_k(x_1..x_j): d^2 = 0 still, so only the
+    # Leibniz rule can reject it (it accepts a change symmetric in x_1..x_n
+    # to d(w_1), since T_1 f T_1 = 0 for f symmetric)
+    rng, verdicts = random.Random(32), []
+    for _ in range(30):
+        n, m = rng.randrange(2, 4), rng.randrange(-2, 2)
+        p = DgParams(n, m, rng.randrange(max(0, -m), 4 - m))
+        images = {i: generator_image(p, i) for i in range(1, n + 1)}
+        i, j, k = rng.randrange(1, n + 1), rng.randrange(1, n + 1), rng.randrange(4)
+        images[i] += complete_h(n, m, k, 1, j).scale(rng.choice((1, -1, 2, -2)))
+        verdicts.append(verify_d_squared(p, 4, images=images))
+        assert verdicts[-1] == reference_leibniz_sampled(p, 4, images=images), (p, i, j, k)
+    assert 0 < verdicts.count(True) < verdicts.count(False)
 
 
 def _blocks_built(monkeypatch):

@@ -162,7 +162,8 @@ def test_rank_gf2_edge_shapes():
 
 
 def test_rank_rejects_columns_out_of_range():
-    for rows, ncols in (([{3: 1}], 3), ([{0: 1}, {-1: 2}], 2), ([{0: 1}], 0)):
+    for rows, ncols in (([{3: 1}], 3), ([{0: 1}, {-1: 2}], 2), ([{0: 1}], 0),
+                        ([{-1: 1, 0: 1}], 2)):
         with pytest.raises(ValueError):
             rank(rows, ncols)
 
