@@ -14,6 +14,7 @@ ALGEBRA = "src/supernilhecke/algebra.py"
 DGSTRUCTURE = "src/supernilhecke/dgstructure.py"
 T_ALGEBRA = "tests/test_algebra.py::"
 T_DG = "tests/test_dgstructure.py::"
+PINNED = T_DG + "test_pinned_ranks_certify_only_rational_ranks"
 
 
 @dataclass(frozen=True)
@@ -87,16 +88,34 @@ MUTANTS = (
     ),
     Mutant(
         "homology-skips-lowest-q", DGSTRUCTURE,
-        "for q in range(sum(odd[:h]) - shift, qcut + 1):",
-        "for q in range(sum(odd[:h]) - shift + 1, qcut + 1):",
+        "spans = [(sum(odd[:h]) + step * h,",
+        "spans = [(sum(odd[:h]) + 2 + step * h,",
         kill=(T_DG + "test_homology_small_cases",
               "tests/test_cli.py::test_homology_command"),
     ),
     Mutant(
         "homology-runs-past-odd-qcut", DGSTRUCTURE,
-        "for q in range(sum(odd[:h]) - shift, qcut + 1):",
-        "for q in range(sum(odd[:h]) - shift, qcut + 3):",
+        "if (q := Q - step * h - 2 * plen) <= qcut:",
+        "if (q := Q - step * h - 2 * plen) <= qcut + 2:",
         kill=(T_DG + "test_homology_small_cases",),
+    ),
+    Mutant(
+        "pin-codomain-side-reads-the-domain-neighbour", DGSTRUCTURE,
+        "(r2[h - 1] + r2[h], dims[h - 1])",
+        "(padded[h + 1] + r2[h], dims[h - 1])",
+        kill=(PINNED + "[d1-unpinned]",),
+    ),
+    Mutant(
+        "pin-codomain-side-reads-two-below", DGSTRUCTURE,
+        "(r2[h - 1] + r2[h], dims[h - 1])",
+        "(r2[h - 2] + r2[h], dims[h - 1])",
+        kill=(PINNED + "[d1-unpinned]", PINNED + "[diag-1-2]"),
+    ),
+    Mutant(
+        "pin-codomain-side-wrong-dimension", DGSTRUCTURE,
+        "(r2[h - 1] + r2[h], dims[h - 1])",
+        "(r2[h - 1] + r2[h], dims[h])",
+        kill=(PINNED + "[d1-pinned-by-its-codomain]",),
     ),
     Mutant(
         "check-columns-max-below-zero", "src/supernilhecke/linalg.py",

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import cache, lru_cache, partial
+from functools import lru_cache, partial
 from operator import add, mul
 
 from .algebra import AlgebraElement, basis_counts, nilhecke_ideal_ranks, verify_relations
@@ -154,69 +154,65 @@ def _poly_d_rows(p: DgParams, domain, codomain) -> Iterator[dict[int, int]]:
         yield {index[base + k]: c for k, c in shifted[omask]}
 
 
+def pinned_ranks(r2: list[int], dims: list[int]) -> list[int | None]:
+    """The rational ranks that GF(2) ranks certify in a complex
+    C_0 <- C_1 <- .. <- C_k with dims[h] = dim C_h, where r2[h] is the GF(2)
+    rank of d: C_h -> C_{h-1} (r2[0] = 0).  Entry h is r2[h] when a chain
+    group beside the block is accounted for over GF(2):
+    r2[h] + r2[h+1] = dims[h] (r2[k+1] = 0), or r2[h-1] + r2[h] = dims[h-1];
+    otherwise None, and the block must be ranked exactly.
+
+    This is exact: an integer matrix has r2 <= its rational rank r_Q, and
+    d^2 = 0 over Z gives r_Q(out of C) + r_Q(into C) <= dim C, so both
+    rational ranks equal their GF(2) ranks there.  A GF(2) sum above the
+    dimension means d^2 != 0 mod 2, a bug: ArithmeticError.
+    """
+    padded = [*r2, 0]
+    ranks: list[int | None] = [0]
+    for h in range(1, len(dims)):
+        sides = ((r2[h] + padded[h + 1], dims[h]), (r2[h - 1] + r2[h], dims[h - 1]))
+        if any(total > dim for total, dim in sides):
+            raise ArithmeticError(f"GF(2) ranks at h = {h} sum above a dimension: d^2 != 0 mod 2")
+        ranks.append(r2[h] if any(total == dim for total, dim in sides) else None)
+    return ranks
+
+
 def homology_ranks(p: DgParams, qcut: int) -> dict[tuple[int, int], int]:
     """Homology dimensions of the full dg-algebra per (qdeg, hdeg), for
-    q <= qcut; complexes are finite per Q = q + 2N.h so no truncation margin
-    is needed beyond enumerating the relevant Q values.  The caches live for
-    one call: each polynomial-side block is enumerated, and each d_N block
-    ranked, once over GF(2) and at most once exactly; no matrix is kept.
+    q <= qcut, one polynomial-side complex at a time.
 
-    The block B(q, h): C_h(q) -> C_{h-1}(q+2N) takes its GF(2) rank r_2 when
-    a neighbouring chain group is accounted for over GF(2):
-    r_2(B(q, h)) + r_2(B(q-2N, h+1)) = dim C_h(q), or
-    r_2(B(q+2N, h-1)) + r_2(B(q, h)) = dim C_{h-1}(q+2N).  This is exact: an
-    integer matrix has r_2 <= its rational rank r_Q, and d_N^2 = 0 over Z
-    gives r_Q(out of C) + r_Q(into C) <= dim C, so both rational ranks equal
-    their GF(2) ranks there.  Every other block is ranked exactly.  A GF(2)
-    sum above the dimension means d_N^2 != 0 mod 2, a bug: ArithmeticError.
+    d_N maps C_h(q) to C_{h-1}(q + 2N), so the groups C_h =
+    monomials_at(n, m, Q - 2N.h, 2h), h = 0..n, form a finite complex for each
+    Q.  Homology is read at the C_h with q <= qcut + n(n-1) (the largest T_p
+    shift 2 l(p) added back).  Groups from one below the lowest h read to two
+    above the highest (the certificate's neighbour) are enumerated and the
+    rest taken as zero, a truncation that keeps every block out of or into a
+    group read.  Each block is ranked over GF(2) once and, where homology
+    reads it and pinned_ranks does not certify it, exactly once; the complex
+    is dropped before the next Q.
     """
-    @cache
-    def block(q: int, h: int) -> list[Monomial]:
-        return monomials_at(p.n, p.m, q, 2 * h)
-
-    @cache
-    def rank_mod2(q: int, h: int) -> int:
-        """GF(2) rank of d_N out of the (q, h) block (0 if it or its target
-        is empty, as always unless 0 < h <= n)."""
-        if not 0 < h <= p.n:
-            return 0
-        here, below = block(q, h), block(q + 2 * p.N, h - 1)
-        return rank_gf2(_poly_d_rows(p, here, below)) if here and below else 0
-
-    @cache
-    def rank_d(q: int, h: int) -> int:
-        """Rational rank of d_N out of the (q, h) block: pinned, or exact."""
-        if not 0 < h <= p.n:
-            return 0
-        here, below = block(q, h), block(q + 2 * p.N, h - 1)
-        if not (here and below):
-            return 0
-        r = rank_mod2(q, h)
-        for (nq, nh), dim in (((q - 2 * p.N, h + 1), len(here)),
-                              ((q + 2 * p.N, h - 1), len(below))):
-            total = r + rank_mod2(nq, nh)
-            if total > dim:
-                raise ArithmeticError(f"GF(2) ranks at {(q, h)} sum above {dim}: d_N^2 != 0 mod 2")
-            if total == dim:
-                return r
-        return rank(list(_poly_d_rows(p, here, below)), len(below))
-
-    def poly_homology_at(q: int, h: int) -> int:
-        """Rational homology of the polynomial-side complex at (q, h)."""
-        here = block(q, h)
-        return len(here) - rank_d(q, h) - rank_d(q - 2 * p.N, h + 1) if here else 0
-
-    counts = perms_by_length(p.n)
+    n, step = p.n, 2 * p.N
+    odd = sorted(odd_degree(p.m, 1 << i) for i in range(n))  # h odd factors: q >= sum(odd[:h])
+    spans = [(sum(odd[:h]) + step * h, qcut + n * (n - 1) + step * h) for h in range(n + 1)]
+    counts = perms_by_length(n)
     table: dict[tuple[int, int], int] = {}
-    shift = p.n * (p.n - 1)  # largest 2 l(perm)
-    odd = sorted(odd_degree(p.m, 1 << i) for i in range(p.n))  # h odd factors: q >= sum(odd[:h])
-    for h in range(0, p.n + 1):
-        for q in range(sum(odd[:h]) - shift, qcut + 1):
-            total = sum(nperms * poly_homology_at(q + 2 * plen, h)
-                        for plen, nperms in counts.items())
-            if total:
-                table[(q, h)] = total
-    return table
+    for Q in sorted({Q for a, b in spans for Q in range(a, b + 1, 2)}):  # q-degrees are even
+        read = [h for h, (a, b) in enumerate(spans) if a <= Q <= b]
+        window = range(read[0] - 1, read[-1] + 3)
+        groups = [monomials_at(n, p.m, Q - step * h, 2 * h) if h in window else []
+                  for h in range(n + 1)]
+        dims = [len(group) for group in groups]
+        ranks = pinned_ranks([0] + [rank_gf2(_poly_d_rows(p, here, below)) if here and below else 0
+                                    for below, here in zip(groups, groups[1:])], dims) + [0]
+        for h, r in enumerate(ranks):
+            if r is None and (h in read or h - 1 in read):
+                ranks[h] = rank(list(_poly_d_rows(p, groups[h], groups[h - 1])), dims[h - 1])
+        for h in read:
+            homology = dims[h] - ranks[h] - ranks[h + 1]
+            for plen, nperms in counts.items():
+                if (q := Q - step * h - 2 * plen) <= qcut:
+                    table[q, h] = table.get((q, h), 0) + nperms * homology
+    return {key: d for key, d in table.items() if d}
 
 
 def nilhecke_cyclotomic_oracle(n: int, N: int, qcut: int) -> dict[int, int]:

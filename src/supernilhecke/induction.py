@@ -256,9 +256,3 @@ def recombine_ses(n1: int, m: int, pairs, coker: SesComponents) -> AlgebraElemen
         for u, p in part:
             acc = acc + _left_times(n1, m, u, _twisted_family, n1, p, odd, False)
     return acc
-
-
-def projection_poly_part(w: AlgebraElement) -> dict[int, AlgebraElement]:
-    """The xi-indexed polynomial cokernel coordinates of w."""
-    _, coker = ses_split(w)
-    return {p: u for u, p in coker.poly_part}

@@ -171,12 +171,6 @@ class LinearCombination:
             return degs.pop()
         return None
 
-    def bidegree_components(self) -> dict:
-        comps: dict[tuple[int, int], dict] = {}
-        for k, c in self.terms.items():
-            comps.setdefault(self.monomial_bidegree(k), {})[k] = c
-        return {d: type(self)(self.n, self.m, t) for d, t in comps.items()}
-
     # ---- display ---------------------------------------------------------
     def _factors(self, key) -> list[str]:
         xexp, omask = key[0], key[1]

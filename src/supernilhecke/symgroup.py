@@ -87,10 +87,6 @@ def evaluate_word(n: int, letters: Word) -> Perm:
     return p
 
 
-def is_reduced(n: int, letters: Word) -> bool:
-    return length(evaluate_word(n, letters)) == len(letters)
-
-
 @lru_cache(maxsize=None)
 def reduced_word(p: Perm) -> Word:
     """Some reduced word for p (greedy descent removal), bottom-to-top."""

@@ -470,9 +470,12 @@ def _homogeneous_multi_term(n, m, rng):
     """A random homogeneous element with at least two terms (n >= 2)."""
     while True:
         u = random_element(n, m, rng, nterms=6, maxexp=2)
-        for part in u.bidegree_components().values():
-            if len(part.terms) > 1:
-                return part
+        parts: dict = {}
+        for key, c in u.terms.items():
+            parts.setdefault(u.monomial_bidegree(key), {})[key] = c
+        for terms in parts.values():
+            if len(terms) > 1:
+                return E(n, m, terms)
 
 
 @pytest.mark.parametrize("n,m,qcut", [(1, -1, 6), (2, -1, 8), (2, 0, 2), (3, 0, -8)])

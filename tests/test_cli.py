@@ -422,3 +422,38 @@ def test_closed_stdout_exits_141_without_a_traceback():
     assert first == b"q\tlambda\tdim\n"
     assert code == 141
     assert b"Traceback" not in err and b"internal error" not in err
+
+
+def test_numeric_flags_exit_0_or_2_without_a_traceback_hypothesis():
+    # the seven commands that take no expression, with every numeric flag
+    # drawn in a small box around its valid range: a run either succeeds or
+    # is a usage error, never a verification failure or an internal error
+    pytest.importorskip("hypothesis")
+    import contextlib
+    import io
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    small_list = st.lists(st.integers(-1, 3), max_size=3).map(json.dumps)
+    commands = st.one_of(
+        st.sampled_from([["grdim"], ["ses-check"], ["shapovalov"], ["homology"],
+                         ["cyclotomic"]]),
+        st.sampled_from(["relations", "basis", "schur", "dg", "ses", "all"]).map(
+            lambda suite: ["verify", suite]),
+        st.tuples(small_list, small_list).map(lambda pair: ["schur", *pair]))
+    flags = st.fixed_dictionaries({}, optional={
+        "--n": st.integers(-2, 3), "--m": st.integers(-4, 4), "--N": st.integers(-3, 6),
+        "--qcut": st.integers(-8, 8), "--seed": st.integers(0, 3),
+        "--jobs": st.integers(-1, 2), "--format": st.sampled_from(["json", "text"])})
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(commands, flags)
+    def check(command, options):
+        argv = [*command, *(f"{flag}={value}" for flag, value in options.items())]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 2), (argv, code, err.getvalue())
+        assert "Traceback" not in err.getvalue() and "internal error" not in err.getvalue(), argv
+
+    check()

@@ -11,7 +11,7 @@ from supernilhecke.algebra import (
 from supernilhecke.dgstructure import (
     DgParams, _d_ring, _generator_images, _poly_d_rows, apply_dN, derivation_extend,
     generator_image, homology_ranks, nilhecke_cyclotomic_oracle,
-    odd_images, verify_d_squared,
+    odd_images, pinned_ranks, verify_d_squared,
 )
 from supernilhecke.gradedseries import nilhecke_cyclotomic_grdim
 from supernilhecke.superring import (
@@ -486,3 +486,28 @@ def test_homology_rejects_gf2_ranks_above_the_dimension(monkeypatch):
     monkeypatch.setattr(dgstructure, "rank_gf2", lambda rows: rank_gf2(rows) + 1)
     with pytest.raises(ArithmeticError):
         homology_ranks(DgParams(2, -1, 3), 8)
+
+
+@pytest.mark.parametrize("r2, dims, r_q, want", [
+    # Z <-(2 0)- Z^2 <-(0 1)^T- Z: d_1 has GF(2) rank 0 below its rank 1, d_2
+    # is pinned by C_2, and d_1 by nothing
+    ([0, 0, 1], [1, 2, 1], [0, 1, 1], [0, None, 1]),
+    # Z <-(1 0)- Z^2 <-(0 2)^T- Z: d_1 is pinned by C_0 (the codomain side),
+    # d_2 by nothing
+    ([0, 1, 0], [1, 2, 1], [0, 1, 1], [0, 1, None]),
+    # Z^2 <-diag(1, 2)- Z^2, and the zero complex around it
+    ([0, 1], [2, 2], [0, 2], [0, None]),
+    ([0, 0, 0], [0, 0, 0], [0, 0, 0], [0, 0, 0]),
+], ids=["d1-unpinned", "d1-pinned-by-its-codomain", "diag-1-2", "zero"])
+def test_pinned_ranks_certify_only_rational_ranks(r2, dims, r_q, want):
+    # each GF(2) rank here is at most its rational rank r_q, and below it
+    # somewhere, so a certificate that reads a wrong neighbour pins a wrong rank
+    assert all(a <= b for a, b in zip(r2, r_q))
+    got = pinned_ranks(r2, dims)
+    assert all(r is None or r == r_q[h] for h, r in enumerate(got))
+    assert got == want
+
+
+def test_pinned_ranks_reject_gf2_ranks_above_a_dimension():
+    with pytest.raises(ArithmeticError):
+        pinned_ranks([0, 1, 1], [1, 1, 1])

@@ -6,12 +6,16 @@ import pytest
 from supernilhecke import induction
 from supernilhecke.algebra import AlgebraElement, random_basis_keys, random_element
 from supernilhecke.induction import (
-    crossing_map, decompose_left, embed, projection_poly_part, recombine_left,
-    recombine_ses, restrict, ses_split,
+    crossing_map, decompose_left, embed, recombine_left, recombine_ses, restrict, ses_split,
 )
 from supernilhecke.superring import SuperPolynomial, complete_h
 
 E = AlgebraElement
+
+
+def projection_poly_part(w):
+    """The xi-indexed polynomial cokernel coordinates of w."""
+    return {p: u for u, p in ses_split(w)[1].poly_part}
 
 
 def center_word(n1, m, j):
