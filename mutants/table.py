@@ -12,9 +12,11 @@ from dataclasses import dataclass
 
 ALGEBRA = "src/supernilhecke/algebra.py"
 DGSTRUCTURE = "src/supernilhecke/dgstructure.py"
+INVARIANTS = "src/supernilhecke/invariants.py"
 T_ALGEBRA = "tests/test_algebra.py::"
 T_DG = "tests/test_dgstructure.py::"
 PINNED = T_DG + "test_pinned_ranks_certify_only_rational_ranks"
+ROUND_TRIP = "tests/test_invariants.py::test_decompose_over_invariants_round_trip"
 
 
 @dataclass(frozen=True)
@@ -118,6 +120,19 @@ MUTANTS = (
         kill=(PINNED + "[d1-pinned-by-its-codomain]",),
     ),
     Mutant(
+        "pairing-drops-sign", INVARIANTS,
+        "out[v] = c.scale(-1) if symgroup.length(u) & 1 else c",
+        "out[v] = c",
+        kill=(ROUND_TRIP, "tests/test_invariants.py::test_decompose_special_cases"),
+    ),
+    Mutant(
+        # S_2 is abelian (w0 v = v w0), so only the n >= 3 cases catch it
+        "pairing-left-coset", INVARIANTS,
+        "u = symgroup.compose(v, w0)",
+        "u = symgroup.compose(w0, v)",
+        kill=(ROUND_TRIP,),
+    ),
+    Mutant(
         "check-columns-max-below-zero", "src/supernilhecke/linalg.py",
         "min(row) < 0 or max(row) >= ncols",
         "max(row) < 0 or max(row) >= ncols",
@@ -135,9 +150,9 @@ MUTANTS = (
         "        if a < 0:\n            a, b = -a, -b\n",
         "",
         reason="with a < 0 the step a*row - b*pivot still clears the column; "
-               "the returned scale carries the sign into sparse_det, and rank, "
-               "IntEchelon and solve read only whether a remainder is left and "
-               "its lead column",
+               "the returned scale carries the sign into sparse_det, and rank "
+               "and IntEchelon read only whether a remainder is left and its "
+               "lead column",
     ),
     Mutant(
         "twisted-greatest-left-descent", "src/supernilhecke/induction.py",

@@ -1,7 +1,7 @@
 """
 The invariant subring under the symmetric group action: Schur superpolynomials,
 Schubert polynomials, and the decomposition of the full ring over invariants
-with Schubert coefficients.
+with Schubert coefficients, each one Demazure pairing with the dual basis.
 """
 from __future__ import annotations
 
@@ -9,10 +9,7 @@ import itertools
 from dataclasses import dataclass
 
 from . import symgroup
-from .linalg import solve
-from .superring import (
-    SuperPolynomial, apply_simple, demazure_perm, exponent_vectors, mask_to_indices,
-)
+from .superring import SuperPolynomial, apply_perm, apply_simple, demazure_perm
 from .symgroup import Perm
 
 
@@ -95,84 +92,26 @@ def strict_partitions(n: int):
     return out
 
 
-def _symmetric_monomial_basis(n: int, m: int, d: int) -> list[SuperPolynomial]:
-    """Monomial symmetric polynomials of degree d in n variables: the
-    exponent vectors of total d grouped into S_n-orbits by sorted exponent."""
-    orbits: dict[tuple[int, ...], dict] = {}
-    for e in exponent_vectors(n, d):
-        orbits.setdefault(tuple(sorted(e)), {})[(e, 0)] = 1
-    return [SuperPolynomial(n, m, terms) for terms in orbits.values()]
-
-
-def decompose_even_over_schubert(f: SuperPolynomial) -> dict[Perm, SuperPolynomial]:
-    """Write a purely even polynomial as sum c_p . schubert(p) with symmetric
-    coefficients, solving one integer linear system per x-degree."""
-    n, m = f.n, f.m
-    if any(key[1] for key in f.terms):
-        raise ValueError("decompose_even_over_schubert expects an even polynomial")
-    perms = list(symgroup.all_permutations(n))
-    schuberts = {p: schubert(n, m, p) for p in perms}
-    out: dict[Perm, SuperPolynomial] = {p: SuperPolynomial.zero(n, m) for p in perms}
-    by_degree: dict[int, dict] = {}
-    for (xexp, _), c in f.terms.items():
-        by_degree.setdefault(sum(xexp), {})[xexp] = c
-    for d, comp in sorted(by_degree.items()):
-        columns = []  # (perm, symmetric basis poly)
-        for p in perms:
-            rem = d - symgroup.length(p)
-            if rem < 0:
-                continue
-            for sym in _symmetric_monomial_basis(n, m, rem):
-                columns.append((p, sym * schuberts[p], sym))
-        rows = list(exponent_vectors(n, d))
-        row_index = {e: i for i, e in enumerate(rows)}
-        matrix: list[dict[int, int]] = [{} for _ in rows]
-        for j, (_, prod, _) in enumerate(columns):
-            for (xexp, _), c in prod.terms.items():
-                matrix[row_index[xexp]][j] = c
-        rhs = [comp.get(e, 0) for e in rows]
-        sol = solve(matrix, rhs, len(columns))
-        if sol is None:
-            raise ArithmeticError("inconsistent Schubert decomposition (bug)")
-        for j, (p, _, sym) in enumerate(columns):
-            if sol[j]:
-                if sol[j].denominator != 1:
-                    raise ArithmeticError("non-integral Schubert coefficient (bug)")
-                out[p] = out[p] + sym.scale(int(sol[j]))
-    return {p: c for p, c in out.items() if not c.is_zero()}
-
-
-def strip_omega_parts(f: SuperPolynomial) -> dict[tuple[int, ...], SuperPolynomial]:
-    """Write f as sum over strict partitions mu of p_mu(x) . schur_zero(mu),
-    by triangular elimination in lexicographic order on mu."""
-    n, m = f.n, f.m
-    coeffs: dict[tuple[int, ...], SuperPolynomial] = {}
-    rem = f
-    guard = 0
-    while not rem.is_zero():
-        guard += 1
-        if guard > 4 ** n + 4:
-            raise ArithmeticError("omega stripping failed to terminate (bug)")
-        # lexicographically smallest odd support present
-        mask = min((omask for (_, omask) in rem.terms), key=mask_to_indices)
-        mu = mask_to_indices(mask)
-        part = SuperPolynomial(n, m, {
-            (xexp, 0): c for (xexp, omask), c in rem.terms.items() if omask == mask})
-        coeffs[mu] = coeffs.get(mu, SuperPolynomial.zero(n, m)) + part
-        rem = rem - part * schur_zero(n, m, mu)
-    return {mu: c for mu, c in coeffs.items() if not c.is_zero()}
-
-
 def decompose_over_invariants(f: SuperPolynomial) -> dict[Perm, SuperPolynomial]:
-    """Coefficients c_p in the invariant subring with f = sum c_p . schubert(p)."""
+    """Coefficients c_v in the invariant subring with f = sum c_v . schubert(v).
+
+    <f, g> = demazure_perm(w0, f . g) is linear over the invariants, as
+    demazure(i, c . g) = c . demazure(i, g) when s_i fixes c (Demazure
+    operators are even: no Koszul sign), and <schubert(u), w0(schubert(v w0))>
+    = (-1)^{l(v w0)} delta_{uv} (Macdonald, Notes on Schubert polynomials,
+    1991).  So c_v = (-1)^{l(v w0)} <f, w0(schubert(v w0))>: no linear system.
+    """
+    if f.is_zero():
+        return {}
     n, m = f.n, f.m
-    acc: dict[Perm, SuperPolynomial] = {}
-    for mu, p_mu in strip_omega_parts(f).items():
-        s_mu = schur_zero(n, m, mu)
-        for perm, sym in decompose_even_over_schubert(p_mu).items():
-            cur = acc.get(perm, SuperPolynomial.zero(n, m))
-            acc[perm] = cur + sym * s_mu
-    return {p: c for p, c in acc.items() if not c.is_zero()}
+    w0 = symgroup.longest_element(n)
+    out: dict[Perm, SuperPolynomial] = {}
+    for v in symgroup.all_permutations(n):
+        u = symgroup.compose(v, w0)
+        c = demazure_perm(w0, f * apply_perm(w0, schubert(n, m, u)))
+        if not c.is_zero():
+            out[v] = c.scale(-1) if symgroup.length(u) & 1 else c
+    return out
 
 
 def recombine_over_invariants(n: int, m: int, coeffs: dict[Perm, SuperPolynomial]) -> SuperPolynomial:

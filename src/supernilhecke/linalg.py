@@ -1,22 +1,20 @@
 """
-Exact integer/rational linear algebra.
+Exact integer linear algebra.
 
 Every entry point is built on one insert step, `_insert`: a row
 {column: value} is reduced (`_reduce`) against echelon rows keyed by their
 least column, by fraction-free updates scaled by a gcd, and its remainder is
 stored primitive, so every result is exact over the rationals and no entry
 ever becomes a fraction.  `rank` feeds the rows of a matrix sparsest first,
-`sparse_det` turns the leads and the scalings into a determinant, the
+`sparse_det` turns the leads and the scalings into a determinant, and the
 streaming `IntEchelon` serves incremental spanning-rank checks with early
-exit, and `solve` back-substitutes the echelon of [A | b] in Fractions,
-reporting non-integral solutions to the caller.  `rank_gf2` is the one
-routine outside that kernel: rank modulo 2, a lower bound for the rank over
-the rationals, which callers must certify before using it as an exact rank.
+exit.  `rank_gf2` is the one routine outside that kernel: rank modulo 2, a
+lower bound for the rank over the rationals, which callers must certify
+before using it as an exact rank.
 """
 from __future__ import annotations
 
 from collections.abc import Iterable
-from fractions import Fraction
 from math import gcd
 
 
@@ -162,28 +160,3 @@ class IntEchelon:
         True if rank grew."""
         return _insert(row, self.rows)[0] is not None
 
-
-def solve(rows: list[dict[int, int]], rhs: list[int],
-          ncols: int) -> list[Fraction] | None:
-    """Solve A . x = rhs exactly for A given as sparse integer rows
-    {column: value}, columns in range(ncols); None if inconsistent.
-
-    A need not be square; a particular solution is returned with free
-    variables set to zero.
-    """
-    if len(rhs) != len(rows):
-        raise ValueError("rhs length differs from the number of rows")
-    _check_columns(rows, ncols)
-    pivots: dict[int, dict[int, int]] = {}
-    for row, b in zip(rows, rhs):
-        if _insert({**row, ncols: b}, pivots)[0] == ncols:
-            return None
-    x = [Fraction(0)] * ncols
-    for lead in sorted(pivots, reverse=True):
-        row = pivots[lead]
-        acc = Fraction(row.get(ncols, 0))
-        for c, v in row.items():
-            if lead < c < ncols:
-                acc -= v * x[c]
-        x[lead] = acc / row[lead]
-    return x

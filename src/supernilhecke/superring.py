@@ -42,10 +42,12 @@ def _merge_masks(a: int, b: int) -> tuple[int, int]:
 def exponent_vectors(n: int, total: int):
     """All exponent tuples of length n with the given sum, in lexicographic
     order: stars and bars, the parts being the gaps between the
-    nondecreasing cut points 0 <= c_1 <= .. <= c_{n-1} <= total."""
-    if n == 0:
-        if total == 0:
-            yield ()
+    nondecreasing cut points 0 <= c_1 <= .. <= c_{n-1} <= total.  None for
+    a negative total."""
+    if total < 0 or (n == 0 and total):
+        return
+    if n < 2:  # no cut point to choose: () or (total,)
+        yield (total,) * n
         return
     for cuts in itertools.combinations_with_replacement(range(total + 1), n - 1):
         yield tuple(map(sub, cuts + (total,), (0,) + cuts))

@@ -5,13 +5,14 @@ import pytest
 
 from supernilhecke import symgroup as sg
 from supernilhecke.invariants import (
-    Superpartition, _symmetric_monomial_basis, decompose_over_invariants, eps_sign,
+    Superpartition, decompose_over_invariants, eps_sign,
     invariant_basis_at_lambda, is_invariant, recombine_over_invariants,
     schubert, schur_super, schur_zero, schur_zero_product, strict_partitions,
 )
 from supernilhecke.linalg import IntEchelon, rank
 from supernilhecke.superring import (
-    SuperPolynomial, apply_simple, complete_h, exponent_vectors, labeled_omega,
+    SuperPolynomial, apply_perm, apply_simple, complete_h, demazure_perm, exponent_vectors,
+    labeled_omega,
 )
 
 
@@ -151,21 +152,39 @@ def test_omega_top_equals_schur():
                 assert labeled_omega(n, m, n, m + 1 + i) == schur_zero(n, m, (n - i,))
 
 
+@pytest.mark.parametrize("n", range(1, 5))
+def test_schubert_pairing_is_dual(n):
+    # demazure_perm(w0, schubert(u) . w0(schubert(v w0))) = (-1)^{l(v w0)} delta_{uv}:
+    # the duality that decompose_over_invariants reads its coefficients from
+    w0 = sg.longest_element(n)
+    perms = list(sg.all_permutations(n))
+    for m in (-1, 0):
+        for v in perms:
+            vw0 = sg.compose(v, w0)
+            dual = apply_perm(w0, schubert(n, m, vw0))
+            for u in perms:
+                got = demazure_perm(w0, schubert(n, m, u) * dual)
+                want = (-1) ** sg.length(vw0) if u == v else 0
+                assert got == SuperPolynomial.const(n, m, want), (m, u, v)
+
+
 def test_decompose_over_invariants_round_trip():
+    # one polynomial per (n, m) with a term on every odd mask
     rng = random.Random(2)
-    for n, m in ((2, -1), (3, -1), (2, 0)):
-        for _ in range(6):
-            terms = {}
-            for _ in range(5):
-                xe = tuple(rng.randrange(3) for _ in range(n))
-                om = rng.randrange(1 << n)
-                c = rng.randrange(-3, 4)
-                if c:
-                    terms[(xe, om)] = c
-            f = SuperPolynomial(n, m, terms)
+    for n in range(1, 6):
+        for m in (-1, 0):
+            f = SuperPolynomial(n, m, {
+                (tuple(rng.randrange(3) for _ in range(n)), om): rng.choice((-3, -2, -1, 1, 2, 3))
+                for om in range(1 << n)})
             coeffs = decompose_over_invariants(f)
             assert all(is_invariant(c) for c in coeffs.values())
             assert recombine_over_invariants(n, m, coeffs) == f
+
+
+def test_decompose_over_invariants_at_n0():
+    assert decompose_over_invariants(SuperPolynomial.zero(0, -1)) == {}
+    with pytest.raises(ValueError):
+        decompose_over_invariants(SuperPolynomial.one(0, -1))
 
 
 def test_decompose_special_cases():
@@ -181,6 +200,15 @@ def test_decompose_special_cases():
         coeffs = decompose_over_invariants(schubert(n, m, p))
         assert set(coeffs) == {p}
         assert coeffs[p] == SuperPolynomial.one(n, m)
+
+
+def _symmetric_monomial_basis(n, m, d):
+    """Monomial symmetric polynomials of degree d in n variables: the
+    exponent vectors of total d grouped into S_n-orbits by sorted exponent."""
+    orbits = {}
+    for e in exponent_vectors(n, d):
+        orbits.setdefault(tuple(sorted(e)), {})[(e, 0)] = 1
+    return [SuperPolynomial(n, m, terms) for terms in orbits.values()]
 
 
 def _invariant_dimension(n, m, q, lam):
@@ -219,7 +247,6 @@ def test_invariant_basis_at_lambda():
 def test_invariant_basis_spans_by_dimension():
     # span of symmetric-polynomial multiples of the Schur family matches the
     # exact invariant dimension per bidegree
-    from supernilhecke.invariants import _symmetric_monomial_basis
     import supernilhecke.algebra as algmod
     for n, m, k, qcut in ((2, -1, 1, 6), (3, -1, 1, 2), (2, -1, 2, 4)):
         family = invariant_basis_at_lambda(n, m, k)

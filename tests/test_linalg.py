@@ -1,9 +1,8 @@
 import random
-from fractions import Fraction
 
 import pytest
 
-from supernilhecke.linalg import IntEchelon, rank, rank_gf2, solve, sparse_det
+from supernilhecke.linalg import IntEchelon, rank, rank_gf2, sparse_det
 
 
 def bareiss(matrix):
@@ -36,38 +35,6 @@ def bareiss(matrix):
     else:
         det = sign * m[-1][-1] if r == rows else 0
     return r, det
-
-
-def dense_solve(matrix, rhs):
-    """Dense Gauss-Jordan over Fractions: a solution of matrix . x = rhs with
-    free variables zero, or None if inconsistent.  The reference `solve` is
-    checked against."""
-    rows = len(matrix)
-    cols = len(matrix[0]) if rows else 0
-    a = [[Fraction(v) for v in row] + [Fraction(rhs[i])] for i, row in enumerate(matrix)]
-    pivots = []
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [v * inv for v in a[r]]
-        for i in range(rows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [a[i][j] - f * a[r][j] for j in range(cols + 1)]
-        pivots.append((r, c))
-        r += 1
-        if r == rows:
-            break
-    if any(a[i][cols] != 0 for i in range(r, rows)):
-        return None
-    x = [Fraction(0)] * cols
-    for i, c in pivots:
-        x[c] = a[i][cols]
-    return x
 
 
 def sparse(matrix):
@@ -222,7 +189,6 @@ def test_sparse_det_edge_cases():
 
 def test_explicit_zero_entries_are_ignored():
     assert sparse_det([{0: 2, 1: 0}, {0: 0, 1: 3}], 2) == 6
-    assert solve([{0: 0, 1: 2}, {0: 1, 1: 0}], [4, 0], 2) == [0, 2]
     ech = IntEchelon(2)
     assert ech.add({0: 1, 1: 0}) and ech.add({0: 0, 1: 5}) and ech.is_full()
     assert not ech.add({0: 0})
@@ -255,58 +221,6 @@ def test_rank_on_larger_sparse_sign_matrices():
               for _ in range(cols)] for _ in range(rows)]
         m = degenerate(rng, m)
         assert rank(sparse(m), len(m[0])) == bareiss(m)[0]
-
-
-def test_solve_matches_dense_reference():
-    rng = random.Random(1917)
-    seen = {"inconsistent": 0, "non-integral": 0, "zero rhs": 0}
-    for _ in range(800):
-        shape = rng.choice(("square", "wide", "tall"))
-        k = rng.randrange(1, 7)
-        rows, cols = {"square": (k, k), "wide": (k, k + rng.randrange(1, 4)),
-                      "tall": (k + rng.randrange(1, 4), k)}[shape]
-        m = random_matrix(rng, rows, cols, rng.choice((0.3, 0.6, 1.0)))
-        if rows >= 2 and rng.random() < 0.3:
-            a, b = rng.sample(range(rows), 2)
-            m[a] = [2 * y for y in m[b]]
-        if rng.random() < 0.2:
-            rhs = [0] * rows
-        elif rng.random() < 0.5:  # consistent: the image of an integer vector
-            x0 = [rng.randint(-4, 4) for _ in range(cols)]
-            rhs = [sum(v * t for v, t in zip(row, x0)) for row in m]
-        else:
-            rhs = [rng.randint(-9, 9) for _ in range(rows)]
-        want = dense_solve(m, rhs)
-        assert solve(sparse(m), rhs, cols) == want, (m, rhs)
-        if want is None:
-            seen["inconsistent"] += 1
-        else:
-            seen["non-integral"] += any(v.denominator != 1 for v in want)
-            seen["zero rhs"] += not any(rhs)
-            assert all(sum(v * t for v, t in zip(row, want)) == b
-                       for row, b in zip(m, rhs))
-    assert all(seen.values()), seen
-
-
-def test_solve_edge_cases():
-    assert solve([], [], 0) == []
-    assert solve([{}], [0], 2) == [0, 0]
-    assert solve([{}], [1], 2) is None
-    assert solve([{1: 2}], [3], 2) == [0, Fraction(3, 2)]
-    rows = [{0: 1, 1: 1}]
-    solve(rows, [5], 2)
-    assert rows == [{0: 1, 1: 1}]
-
-
-@pytest.mark.parametrize("rows, rhs", [
-    ([{2: 1}], [0]),            # column 2 is the slot of the rhs
-    ([{-1: 1}], [1]),
-    ([{0: 1}, {1: 1}], [1]),    # fewer rhs entries than rows
-    ([{0: 1}], [1, 2]),
-])
-def test_solve_rejects_bad_shapes(rows, rhs):
-    with pytest.raises(ValueError):
-        solve(rows, rhs, 2)
 
 
 def test_int_echelon_matches_bareiss_on_shuffled_sparse_rows():

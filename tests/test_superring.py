@@ -271,6 +271,13 @@ def test_exponent_vectors_match_recursive_reference(n):
             _exponent_vectors_recursive(n, total), (n, total)
 
 
+def test_exponent_vectors_of_a_negative_or_huge_total():
+    for n in range(4):
+        assert list(exponent_vectors(n, -1)) == [], n
+    # one vector at n = 1, with no pool of total + 1 cut points built for it
+    assert list(exponent_vectors(1, 10**7)) == [(10**7,)]
+
+
 def test_monomials_at_enumerates_one_bidegree():
     for n, m in ((0, -1), (1, 0), (3, -1), (4, 0)):
         by_degree = {}
