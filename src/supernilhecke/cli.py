@@ -171,10 +171,11 @@ def suite_schur(n: int, m: int, qcut: int, seed: int) -> list[str]:
 
 
 def suite_dg(n: int, m: int, N: int, qcut: int, seed: int) -> list[str]:
-    failures = []
     params = DgParams(n, m, N)
     if not verify_d_squared(params, qcut):
-        failures.append(f"dg({n},{m},{N}): d^2 or Leibniz fails")
+        # homology_ranks would raise on a nonzero d^2: a failed suite, exit 1
+        return [f"dg({n},{m},{N}): d^2 or Leibniz fails"]
+    failures = []
     table = homology_ranks(params, qcut)
     if any(h != 0 for (_, h) in table):
         failures.append(f"dg({n},{m},{N}): homology outside degree 0")
@@ -201,9 +202,8 @@ def suite_ses(n: int, m: int, seed: int) -> list[str]:
     return failures
 
 
-# Suite name -> runner over (n, m, N, qcut, seed).  The serial path and the
-# worker processes both go through _run_suite, which is sent to a worker by
-# its import path, and each runner looks its suite up by name when it runs.
+# Suite name -> runner over (n, m, N, qcut, seed); each runner looks its suite
+# up by name when it runs.
 SUITES = {
     "relations": lambda n, m, N, qcut, seed: suite_relations(n, m, qcut, seed),
     "basis": lambda n, m, N, qcut, seed: suite_basis(n, m, qcut, seed),
@@ -213,29 +213,10 @@ SUITES = {
 }
 
 
-def _run_suite(name, n, m, N, qcut, seed):
-    return SUITES[name](n, m, N, qcut, seed)
-
-
 def cmd_verify(args) -> int:
-    params = (args.n, args.m, args.N, args.qcut, args.seed)
-    if args.suite == "all":
-        names = list(SUITES)
-    elif args.suite in SUITES:
-        names = [args.suite]
-    else:
-        raise UsageError(f"unknown suite {args.suite!r}")
-    results = {}
-    workers = _worker_count(args.jobs, len(names))
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {name: pool.submit(_run_suite, name, *params) for name in names}
-            for name in names:
-                results[name] = futures[name].result()
-    else:
-        for name in names:
-            results[name] = _run_suite(name, *params)
+    names = list(SUITES) if args.suite == "all" else [args.suite]
+    results = {name: SUITES[name](args.n, args.m, args.N, args.qcut, args.seed)
+               for name in names}
     failures = [msg for name in names for msg in results[name]]
     payload = {"suites": {name: {"passed": not results[name],
                                  "failures": results[name]} for name in names}}
@@ -243,11 +224,6 @@ def cmd_verify(args) -> int:
         [f"{name}: {'pass' if not results[name] else 'FAIL'}" for name in names]
         + failures))
     return 0 if not failures else 1
-
-
-def _worker_count(jobs: int, nsuites: int) -> int:
-    """--jobs clamped to 1..min(number of suites, number of CPUs)."""
-    return max(1, min(jobs, nsuites, os.cpu_count() or 1))
 
 
 @functools.cache
@@ -264,8 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="seed for randomized suites")
     shared.add_argument("--format", choices=("json", "text"), default="json")
     shared.add_argument("--jobs", type=int, default=1,
-                        help="parallel workers for verify all, at most one "
-                             "per suite and per CPU")
+                        help="accepted and ignored: suites run one after "
+                             "another in one process")
 
     # argparse reads a leading "-" as an option flag.
     dash_note = ('expressions that start with "-" go after "--", as in: '

@@ -10,8 +10,8 @@ are finite in every homological degree.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from operator import add, mul
 
@@ -24,15 +24,16 @@ from .superring import (
 from .symgroup import perms_by_length
 
 
-@dataclass(frozen=True)
-class DgParams:
-    n: int
-    m: int
-    N: int
+class DgParams(namedtuple("DgParams", "n m N")):
+    """d_N on A_n with minimal label m; m + N >= 0.  A namedtuple subclass
+    (typing.NamedTuple cannot override __new__), hashed as a tuple when it
+    keys _generator_images."""
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.m + self.N < 0:
+    def __new__(cls, n: int, m: int, N: int):
+        if m + N < 0:
             raise ValueError("differential requires m + N >= 0")
+        return super().__new__(cls, n, m, N)
 
 
 def generator_image(p: DgParams, i: int) -> SuperPolynomial:
@@ -189,9 +190,14 @@ def homology_ranks(p: DgParams, qcut: int) -> dict[tuple[int, int], int]:
     rest taken as zero, a truncation that keeps every block out of or into a
     group read.  Each block is ranked over GF(2) once and, where homology
     reads it and pinned_ranks does not certify it, exactly once; the complex
-    is dropped before the next Q.
+    is dropped before the next Q.  The pin is exact only if d_N^2 = 0 over
+    Z, which GF(2) cannot see for a sign: d^2 is checked on every odd mask
+    first, and a nonzero d^2 is a bug, ArithmeticError.
     """
     n, step = p.n, 2 * p.N
+    images = _generator_images(p)
+    if not all(_d_squared_zero(images, n, omask) for omask in range(1 << n)):
+        raise ArithmeticError(f"d_N^2 != 0 over Z at {p}")
     odd = sorted(odd_degree(p.m, 1 << i) for i in range(n))  # h odd factors: q >= sum(odd[:h])
     spans = [(sum(odd[:h]) + step * h, qcut + n * (n - 1) + step * h) for h in range(n + 1)]
     counts = perms_by_length(n)

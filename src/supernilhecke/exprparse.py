@@ -7,7 +7,7 @@ against the ring parameters, checking index ranges.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import AlgebraElement
 from .superring import SuperPolynomial, accumulate, labeled_omega
@@ -19,8 +19,7 @@ class ParseError(ValueError):
         self.offset = offset
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str   # 'int', 'gen', 'op'
     text: str
     offset: int

@@ -37,7 +37,7 @@ that the left round-trip tests hold the cached twists to.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import symgroup
 from .algebra import AlgebraElement, TermKey, shift, theta_dotted
@@ -65,8 +65,7 @@ def restrict(w: AlgebraElement) -> AlgebraElement:
     return AlgebraElement(n, w.m, terms)
 
 
-@dataclass
-class SesComponents:
+class SesComponents(NamedTuple):
     """Cokernel coordinates: lists of (n-strand element, xi-exponent)."""
     poly_part: list[tuple[AlgebraElement, int]]
     omega_part: list[tuple[AlgebraElement, int]]

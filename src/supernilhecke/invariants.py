@@ -6,15 +6,14 @@ with Schubert coefficients, each one Demazure pairing with the dual basis.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import symgroup
 from .superring import SuperPolynomial, apply_perm, apply_simple, demazure_perm
 from .symgroup import Perm
 
 
-@dataclass(frozen=True)
-class Superpartition:
+class Superpartition(NamedTuple):
     """A pair (alpha, beta): alpha weakly decreasing with n parts allowed,
     beta strictly increasing with entries in 1..n."""
     alpha: tuple[int, ...]

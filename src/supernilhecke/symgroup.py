@@ -62,8 +62,8 @@ def longest_element(n: int) -> Perm:
     >>> longest_element(3)
     (3, 2, 1)
     """
-    if n < 1:
-        raise ValueError("longest_element needs n >= 1")
+    if n < 0:
+        raise ValueError("longest_element needs n >= 0")
     return tuple(range(n, 0, -1))
 
 

@@ -26,7 +26,14 @@ E = AlgebraElement
 def test_params_guard():
     with pytest.raises(ValueError):
         DgParams(2, -1, 0)  # m + N < 0
-    DgParams(2, -1, 1)
+    with pytest.raises(ValueError):
+        DgParams(n=2, m=-1, N=0)
+    p = DgParams(2, -1, 1)
+    assert repr(p) == "DgParams(n=2, m=-1, N=1)"
+    assert (p.n, p.m, p.N) == (2, -1, 1)
+    # the lru_cache key of the odd-image table
+    assert DgParams(n=2, m=-1, N=1) == p and hash(DgParams(n=2, m=-1, N=1)) == hash(p)
+    assert DgParams(2, -1, 2) != p
 
 
 def test_generator_values():
@@ -486,6 +493,22 @@ def test_homology_rejects_gf2_ranks_above_the_dimension(monkeypatch):
     monkeypatch.setattr(dgstructure, "rank_gf2", lambda rows: rank_gf2(rows) + 1)
     with pytest.raises(ArithmeticError):
         homology_ranks(DgParams(2, -1, 3), 8)
+
+
+@pytest.mark.parametrize("n, L", [(2, 2), (3, 3)])
+def test_homology_rejects_d_squared_nonzero_over_the_integers(monkeypatch, n, L):
+    # Mod 2 a sign is invisible, and here every block is pinned by GF(2)
+    # ranks, which is exact only if d^2 = 0 over Z: a table with a wrong sign
+    # (d^2(w_1 w_2) = 2 d(w_1) d(w_2)) would print these same ranks
+    table = homology_ranks(DgParams(n, 0, L), 10)
+    assert {q: d for (q, _), d in table.items()} == nilhecke_cyclotomic_grdim(n, L, 10)
+    # so homology_ranks checks d^2 on the whole odd-image table: here
+    # d(w_1) = w_1, and d^2(w_1) = w_1
+    monkeypatch.setattr(dgstructure, "_generator_images",
+                        lambda p: odd_images(p.n, {i: SuperPolynomial.w(p.n, 0, i)
+                                                   for i in range(1, p.n + 1)}))
+    with pytest.raises(ArithmeticError):
+        homology_ranks(DgParams(n, 0, L), 10)
 
 
 @pytest.mark.parametrize("r2, dims, r_q, want", [

@@ -183,8 +183,11 @@ def test_decompose_over_invariants_round_trip():
 
 def test_decompose_over_invariants_at_n0():
     assert decompose_over_invariants(SuperPolynomial.zero(0, -1)) == {}
-    with pytest.raises(ValueError):
-        decompose_over_invariants(SuperPolynomial.one(0, -1))
+    # S_0 = {()}, schubert(()) = 1: f is its own coefficient
+    f = SuperPolynomial.one(0, -1).scale(3)
+    coeffs = decompose_over_invariants(f)
+    assert coeffs == {(): f}
+    assert recombine_over_invariants(0, -1, coeffs) == f
 
 
 def test_decompose_special_cases():

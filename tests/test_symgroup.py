@@ -13,8 +13,9 @@ def test_longest_element():
     assert sg.longest_element(1) == (1,)
     assert sg.longest_element(3) == (3, 2, 1)
     assert sg.evaluate_word(3, (1, 2, 1)) == sg.longest_element(3)
+    assert sg.longest_element(0) == ()
     with pytest.raises(ValueError):
-        sg.longest_element(0)
+        sg.longest_element(-1)
 
 
 def test_compose_inverse():
