@@ -4,22 +4,19 @@ rationals, and the cyclotomic nilHecke comparison oracle.
 
 d_N kills the even generators and crossings and sends the labeled odd
 generator w_i^a to (-1)^{N+a-i} h_{N+a-i}(x_1..x_i), extended as an odd
-derivation for the homological degree (= number of odd factors).  Its
-bidegree is (2N, -2), so the chain complexes indexed by Q = qdeg + N.lamdeg
-are finite in every homological degree.
+derivation for the homological degree (= number of odd factors), of
+bidegree (2N, -2).  Its homology is counted by the Koszul theorem.
 """
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterator
 from functools import lru_cache, partial
-from operator import add, mul
+from operator import add
 
 from .algebra import AlgebraElement, basis_counts, nilhecke_ideal_ranks, verify_relations
-from .linalg import rank, rank_gf2
 from .superring import (
     Monomial, SuperPolynomial, _merge_masks, accumulate, complete_h,
-    mask_to_indices, monomials_at, odd_degree,
+    mask_to_indices, odd_degree,
 )
 from .symgroup import perms_by_length
 
@@ -34,6 +31,11 @@ class DgParams(namedtuple("DgParams", "n m N")):
         if m + N < 0:
             raise ValueError("differential requires m + N >= 0")
         return super().__new__(cls, n, m, N)
+
+    @classmethod
+    def _make(cls, iterable):
+        """Through __new__, so _make and _replace (which calls it) check too."""
+        return cls(*iterable)
 
 
 def generator_image(p: DgParams, i: int) -> SuperPolynomial:
@@ -124,101 +126,63 @@ def verify_d_squared(p: DgParams, qcut: int,
 #
 # d_N(f T_p) = d_N(f) T_p, so the complex splits over the nilCoxeter part:
 # it is the polynomial-side complex tensored with the span of the T_p, with a
-# q-shift of -2 l(p) per permutation.  Homology is computed exactly on the
-# polynomial side and aggregated over permutation lengths.
+# q-shift of -2 l(p) per permutation.  The polynomial side is the Koszul
+# complex K(f_1, .., f_n) on Q[x] of the images f_i = d_N(w_i), and its
+# homology is read off their leads.
 
-def _column_weights(n: int, bits: int) -> list[int]:
-    """Columns of a d_N block are sorted by the x-exponents from x_n down to
-    x_1, then the odd mask, packed into the int key sum(map(mul, xexp,
-    weights)) + omask (`bits`-bit digits) while exponents are below 2**bits;
-    an x-shift adds keys.  In this lex order d(w_i) = +-h_{L+1-i}(x_1..x_i),
-    L = m + N, leads with x_i^{L+1-i} (i <= L + 1); coprime leads make the
-    images a Groebner basis and a regular sequence (Eisenbud, ch. 15, 17).
-    It fills in little: the echelons of `homology --n 4 --m 0 --N 4 --qcut
-    12` hold 0.50 M nonzeros, 1.76 M in monomials_at order."""
-    return [1 << (n + bits * i) for i in range(n)]
-
-
-def _poly_d_rows(p: DgParams, domain, codomain) -> Iterator[dict[int, int]]:
-    """Sparse rows {column: c} of d_N from the domain monomials to the
-    codomain monomials, columns in _column_weights order, made one at a time
-    (the GF(2) rank never holds the block's rows).  d_N is homogeneous, so
-    every exponent met is at most the codomain's largest x-degree."""
-    weights = _column_weights(p.n, max(sum(xexp) for xexp, _ in codomain).bit_length())
-    index = {k: j for j, k in enumerate(sorted(
-        sum(map(mul, xexp, weights)) + omask for xexp, omask in codomain))}
-    table = _generator_images(p)
-    shifted = {omask: [(sum(map(mul, xe, weights)) + mask, c) for xe, mask, c in table[omask]]
-               for omask in {omask for _, omask in domain}}
-    for xexp, omask in domain:
-        base = sum(map(mul, xexp, weights))
-        yield {index[base + k]: c for k, c in shifted[omask]}
-
-
-def pinned_ranks(r2: list[int], dims: list[int]) -> list[int | None]:
-    """The rational ranks that GF(2) ranks certify in a complex
-    C_0 <- C_1 <- .. <- C_k with dims[h] = dim C_h, where r2[h] is the GF(2)
-    rank of d: C_h -> C_{h-1} (r2[0] = 0).  Entry h is r2[h] when a chain
-    group beside the block is accounted for over GF(2):
-    r2[h] + r2[h+1] = dims[h] (r2[k+1] = 0), or r2[h-1] + r2[h] = dims[h-1];
-    otherwise None, and the block must be ranked exactly.
-
-    This is exact: an integer matrix has r2 <= its rational rank r_Q, and
-    d^2 = 0 over Z gives r_Q(out of C) + r_Q(into C) <= dim C, so both
-    rational ranks equal their GF(2) ranks there.  A GF(2) sum above the
-    dimension means d^2 != 0 mod 2, a bug: ArithmeticError.
-    """
-    padded = [*r2, 0]
-    ranks: list[int | None] = [0]
-    for h in range(1, len(dims)):
-        sides = ((r2[h] + padded[h + 1], dims[h]), (r2[h - 1] + r2[h], dims[h - 1]))
-        if any(total > dim for total, dim in sides):
-            raise ArithmeticError(f"GF(2) ranks at h = {h} sum above a dimension: d^2 != 0 mod 2")
-        ranks.append(r2[h] if any(total == dim for total, dim in sides) else None)
-    return ranks
+def _koszul_leads(table: tuple, n: int) -> list[int] | None:
+    """The exponents e_i of the leads c.x_i^{e_i}, c != 0, of the images f_i
+    of w_1..w_n in an odd-image table, in the lex order with x_n most
+    significant; None if some f_i is a nonzero constant.  Anything else,
+    or an f_i that is not homogeneous, breaks the premise of homology_ranks:
+    ArithmeticError."""
+    leads = []
+    for i in range(n):
+        terms = table[1 << i]
+        if any(mask for _, mask, _ in terms):
+            raise ArithmeticError(f"d(w_{i + 1}) has an odd factor")
+        if len({sum(xe) for xe, _, _ in terms}) > 1:
+            raise ArithmeticError(f"d(w_{i + 1}) is not homogeneous")
+        leads.append(max((xe for xe, _, _ in terms), key=lambda xe: xe[::-1], default=None))
+    if any(lead is not None and not any(lead) for lead in leads):
+        return None
+    for i, lead in enumerate(leads):
+        if lead is None or sum(lead) != lead[i]:
+            raise ArithmeticError(f"d(w_{i + 1}) does not lead with a power of x_{i + 1}")
+    return [lead[i] for i, lead in enumerate(leads)]
 
 
 def homology_ranks(p: DgParams, qcut: int) -> dict[tuple[int, int], int]:
     """Homology dimensions of the full dg-algebra per (qdeg, hdeg), for
-    q <= qcut, one polynomial-side complex at a time.
+    q <= qcut, by the Koszul theorem; no chain group is built.
 
-    d_N maps C_h(q) to C_{h-1}(q + 2N), so the groups C_h =
-    monomials_at(n, m, Q - 2N.h, 2h), h = 0..n, form a finite complex for each
-    Q.  Homology is read at the C_h with q <= qcut + n(n-1) (the largest T_p
-    shift 2 l(p) added back).  Groups from one below the lowest h read to two
-    above the highest (the certificate's neighbour) are enumerated and the
-    rest taken as zero, a truncation that keeps every block out of or into a
-    group read.  Each block is ranked over GF(2) once and, where homology
-    reads it and pinned_ranks does not certify it, exactly once; the complex
-    is dropped before the next Q.  The pin is exact only if d_N^2 = 0 over
-    Z, which GF(2) cannot see for a sign: d^2 is checked on every odd mask
-    first, and a nonzero d^2 is a bug, ArithmeticError.
+    If the f_i = d_N(w_i) lead with c.x_i^{e_i}, e_i >= 1 (lex order, x_n
+    most significant), the leads are pairwise coprime, so the f_i are a
+    Groebner basis (Buchberger's first criterion) with dim Q[x]/(f) =
+    prod e_i: a regular sequence.  Then K(f) is exact in every h >= 1 and H_0
+    has the basis x^a with a_i < e_i (Eisenbud, ch. 15, 17; Cox, Little and
+    O'Shea, ch. 2 sec. 9).  d_N(w_i) = +-h_{k_i}(x_1..x_i), k_i = m + N + 1 -
+    i, so this is the case m + N >= n; otherwise f_i = +-1 at i = m + N + 1,
+    K(f) is contractible and the table empty.  Both rest on d_N^2 = 0 over
+    Z and on the leads, which are checked: a failure is a bug,
+    ArithmeticError.
     """
-    n, step = p.n, 2 * p.N
     images = _generator_images(p)
-    if not all(_d_squared_zero(images, n, omask) for omask in range(1 << n)):
+    if not all(_d_squared_zero(images, p.n, omask) for omask in range(1 << p.n)):
         raise ArithmeticError(f"d_N^2 != 0 over Z at {p}")
-    odd = sorted(odd_degree(p.m, 1 << i) for i in range(n))  # h odd factors: q >= sum(odd[:h])
-    spans = [(sum(odd[:h]) + step * h, qcut + n * (n - 1) + step * h) for h in range(n + 1)]
-    counts = perms_by_length(n)
+    exponents = _koszul_leads(images, p.n)
+    if exponents is None:
+        return {}
+    standard = [1]  # standard[d]: the x^a with a_i < e_i of x-degree d
+    for e in exponents:
+        standard = [sum(standard[max(0, d - e + 1):d + 1]) for d in range(len(standard) + e - 1)]
+    counts = perms_by_length(p.n)
     table: dict[tuple[int, int], int] = {}
-    for Q in sorted({Q for a, b in spans for Q in range(a, b + 1, 2)}):  # q-degrees are even
-        read = [h for h, (a, b) in enumerate(spans) if a <= Q <= b]
-        window = range(read[0] - 1, read[-1] + 3)
-        groups = [monomials_at(n, p.m, Q - step * h, 2 * h) if h in window else []
-                  for h in range(n + 1)]
-        dims = [len(group) for group in groups]
-        ranks = pinned_ranks([0] + [rank_gf2(_poly_d_rows(p, here, below)) if here and below else 0
-                                    for below, here in zip(groups, groups[1:])], dims) + [0]
-        for h, r in enumerate(ranks):
-            if r is None and (h in read or h - 1 in read):
-                ranks[h] = rank(list(_poly_d_rows(p, groups[h], groups[h - 1])), dims[h - 1])
-        for h in read:
-            homology = dims[h] - ranks[h] - ranks[h + 1]
-            for plen, nperms in counts.items():
-                if (q := Q - step * h - 2 * plen) <= qcut:
-                    table[q, h] = table.get((q, h), 0) + nperms * homology
-    return {key: d for key, d in table.items() if d}
+    for d, dim in enumerate(standard):
+        for plen, nperms in counts.items():
+            if (q := 2 * d - 2 * plen) <= qcut:
+                table[q, 0] = table.get((q, 0), 0) + nperms * dim
+    return table
 
 
 def nilhecke_cyclotomic_oracle(n: int, N: int, qcut: int) -> dict[int, int]:

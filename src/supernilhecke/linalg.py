@@ -8,13 +8,10 @@ stored primitive, so every result is exact over the rationals and no entry
 ever becomes a fraction.  `rank` feeds the rows of a matrix sparsest first,
 `sparse_det` turns the leads and the scalings into a determinant, and the
 streaming `IntEchelon` serves incremental spanning-rank checks with early
-exit.  `rank_gf2` is the one routine outside that kernel: rank modulo 2, a
-lower bound for the rank over the rationals, which callers must certify
-before using it as an exact rank.
+exit.
 """
 from __future__ import annotations
 
-from collections.abc import Iterable
 from math import gcd
 
 
@@ -82,25 +79,6 @@ def rank(rows: list[dict[int, int]], ncols: int) -> int:
     pivots: dict[int, dict[int, int]] = {}
     for row in sorted(filter(None, rows), key=len):
         _insert(row, pivots)
-    return len(pivots)
-
-
-def rank_gf2(rows: Iterable[dict[int, int]]) -> int:
-    """Rank over GF(2) of an integer matrix given as sparse rows {column:
-    value}, read once in order; never above the rank over the rationals.
-    Each row is the int bitset of its odd entries, its lead is the lowest set
-    bit, and it is reduced by XOR.  A pivot is stored shifted down by its
-    lead, which keeps the stored ints short when the leads are large."""
-    pivots: dict[int, int] = {}  # lead -> row >> lead
-    for row in rows:
-        bits = sum(1 << c for c, v in row.items() if v & 1)
-        while bits:
-            lead = (bits & -bits).bit_length() - 1
-            pivot = pivots.get(lead)
-            if pivot is None:
-                pivots[lead] = bits >> lead
-                break
-            bits ^= pivot << lead
     return len(pivots)
 
 

@@ -1,6 +1,6 @@
 import itertools
 import random
-from collections import Counter
+from operator import mul
 
 import pytest
 
@@ -9,16 +9,17 @@ from supernilhecke.algebra import (
     AlgebraElement, basis, random_basis_keys, random_element, ring_monomials,
 )
 from supernilhecke.dgstructure import (
-    DgParams, _d_ring, _generator_images, _poly_d_rows, apply_dN, derivation_extend,
+    DgParams, _d_ring, _generator_images, apply_dN, derivation_extend,
     generator_image, homology_ranks, nilhecke_cyclotomic_oracle,
-    odd_images, pinned_ranks, verify_d_squared,
+    odd_images, verify_d_squared,
 )
 from supernilhecke.gradedseries import nilhecke_cyclotomic_grdim
+from supernilhecke.linalg import rank
 from supernilhecke.superring import (
     SuperPolynomial, accumulate, complete_h, labeled_omega, mask_to_indices, monomials_at,
     odd_degree,
 )
-from supernilhecke.symgroup import all_permutations, identity, longest_element
+from supernilhecke.symgroup import all_permutations, identity, longest_element, perms_by_length
 
 E = AlgebraElement
 
@@ -34,6 +35,19 @@ def test_params_guard():
     # the lru_cache key of the odd-image table
     assert DgParams(n=2, m=-1, N=1) == p and hash(DgParams(n=2, m=-1, N=1)) == hash(p)
     assert DgParams(2, -1, 2) != p
+
+
+def test_params_make_and_replace_keep_the_guard():
+    with pytest.raises(ValueError):
+        DgParams(2, -1, 1)._replace(N=0)
+    with pytest.raises(ValueError):
+        DgParams._make((2, -1, 0))
+    assert DgParams._make((2, -1, 1)) == DgParams(2, -1, 1)
+    assert type(DgParams._make((2, -1, 1))) is DgParams
+    assert DgParams(2, -1, 1)._replace(N=3) == DgParams(2, -1, 3)
+    for fields in ((2, -1), (2, -1, 1, 0)):
+        with pytest.raises(TypeError):
+            DgParams._make(fields)
 
 
 def test_generator_values():
@@ -137,21 +151,12 @@ def test_homology_small_cases():
     assert homology_ranks(DgParams(3, 0, 3), 2)[2, 0] == 8
 
 
-def test_homology_concentrated_and_matches_oracle(monkeypatch):
-    # d_N joins homological degrees 0..n, so no block at h < 0 or h > n is
-    # ever enumerated
-    asked, enumerate_block = [], dgstructure.monomials_at
-
-    def recording(n, m, q, lam):
-        asked.append((n, lam))
-        return enumerate_block(n, m, q, lam)
-    monkeypatch.setattr(dgstructure, "monomials_at", recording)
+def test_homology_concentrated_and_matches_oracle():
     for n, m, N in ((1, -1, 3), (2, -1, 3), (2, 0, 2), (2, -2, 5), (3, -1, 4)):
         table = homology_ranks(DgParams(n, m, N), 8)
         assert all(h == 0 for (_, h) in table), (n, m, N)
         oracle = nilhecke_cyclotomic_oracle(n, m + N, 8)
         assert {q: d for (q, h), d in table.items()} == oracle, (n, m, N)
-    assert asked and all(0 <= lam <= 2 * n for n, lam in asked)
 
 
 def test_acyclic_when_strands_exceed_level():
@@ -215,23 +220,6 @@ def test_split_complex_matches_direct_matrices():
                 direct[(q, h)] = d
         split = {k: v for k, v in homology_ranks(p, qcut).items()}
         assert direct == split
-
-
-def test_poly_d_matrix_columns_in_lex_order():
-    # the packed column keys index each block in (xexp[::-1], omask) order
-    for n, m, N in ((1, -1, 3), (2, -1, 3), (3, 0, 3), (3, -2, 6), (4, -1, 4)):
-        p, blocks = DgParams(n, m, N), 0
-        table = _generator_images(p)
-        for q in range(-4, 14):
-            for h in range(1, n + 1):
-                here, below = monomials_at(n, m, q, 2 * h), monomials_at(n, m, q + 2 * N, 2 * h - 2)
-                if here and below:
-                    order = sorted(below, key=lambda mono: (mono[0][::-1], mono[1]))
-                    index = {mono: j for j, mono in enumerate(order)}
-                    want = [{index[key]: c for key, c in _d_ring(table, *mono)} for mono in here]
-                    assert list(_poly_d_rows(p, here, below)) == want, (n, m, N, q, h)
-                    blocks += 1
-        assert blocks
 
 
 def test_oracle_small_values():
@@ -432,23 +420,76 @@ def test_leibniz_on_relations_agrees_with_sampled_pairs():
     assert 0 < verdicts.count(True) < verdicts.count(False)
 
 
-def _blocks_built(monkeypatch):
-    """Record the (q, h) of every d_N block whose rows homology_ranks builds."""
-    built, rows = Counter(), dgstructure._poly_d_rows
+# ---- the elimination oracle --------------------------------------------------
+#
+# homology_ranks counts standard monomials by the Koszul theorem.  The oracle
+# builds the polynomial-side chain groups C_h = monomials_at(n, m, Q - 2N.h,
+# 2h), h = 0..n, one complex per Q = q + 2N.h, and ranks every d_N block
+# between them exactly; it assumes no theorem about the complex.
 
-    def recording(p, domain, codomain):
-        xexp, omask = domain[0]
-        built[2 * sum(xexp) + odd_degree(p.m, omask), omask.bit_count()] += 1
-        return rows(p, domain, codomain)
-    monkeypatch.setattr(dgstructure, "_poly_d_rows", recording)
-    return built
+def _column_weights(n, bits):
+    """Columns of a d_N block are sorted by the x-exponents from x_n down to
+    x_1, then the odd mask, packed into the int key sum(map(mul, xexp,
+    weights)) + omask (`bits`-bit digits) while exponents are below 2**bits;
+    an x-shift adds keys.  Elimination fills in little in this order."""
+    return [1 << (n + bits * i) for i in range(n)]
 
 
-def _exact_table(monkeypatch, p, qcut):
-    """homology_ranks with no block pinned: a GF(2) rank of 0 pins none."""
-    with monkeypatch.context() as patch:
-        patch.setattr(dgstructure, "rank_gf2", lambda rows: 0)
-        return homology_ranks(p, qcut)
+def _poly_d_rows(p, domain, codomain):
+    """Sparse rows {column: c} of d_N from the domain monomials to the
+    codomain monomials, columns in _column_weights order.  d_N is
+    homogeneous, so every exponent met is at most the codomain's largest
+    x-degree."""
+    weights = _column_weights(p.n, max(sum(xexp) for xexp, _ in codomain).bit_length())
+    index = {k: j for j, k in enumerate(sorted(
+        sum(map(mul, xexp, weights)) + omask for xexp, omask in codomain))}
+    table = _generator_images(p)
+    shifted = {omask: [(sum(map(mul, xe, weights)) + mask, c) for xe, mask, c in table[omask]]
+               for omask in {omask for _, omask in domain}}
+    for xexp, omask in domain:
+        base = sum(map(mul, xexp, weights))
+        yield {index[base + k]: c for k, c in shifted[omask]}
+
+
+def elimination_homology(p, qcut):
+    """The homology table of homology_ranks from chain groups ranked exactly.
+    Homology is read at the C_h with q <= qcut + n(n-1) (the largest T_p
+    shift 2 l(p) added back), and groups from one below the lowest h read to
+    one above the highest are enumerated, the rest taken as zero."""
+    n, step = p.n, 2 * p.N
+    odd = sorted(odd_degree(p.m, 1 << i) for i in range(n))  # h odd factors: q >= sum(odd[:h])
+    spans = [(sum(odd[:h]) + step * h, qcut + n * (n - 1) + step * h) for h in range(n + 1)]
+    table = {}
+    for Q in sorted({Q for a, b in spans for Q in range(a, b + 1, 2)}):  # q-degrees are even
+        read = [h for h, (a, b) in enumerate(spans) if a <= Q <= b]
+        window = range(read[0] - 1, read[-1] + 2)
+        groups = [monomials_at(n, p.m, Q - step * h, 2 * h) if h in window else []
+                  for h in range(n + 1)] + [[]]
+        ranks = [0] + [rank(list(_poly_d_rows(p, here, below)), len(below)) if here and below
+                       else 0 for below, here in zip(groups, groups[1:])]
+        for h in read:
+            homology = len(groups[h]) - ranks[h] - ranks[h + 1]
+            for plen, nperms in perms_by_length(n).items():
+                if (q := Q - step * h - 2 * plen) <= qcut:
+                    table[q, h] = table.get((q, h), 0) + nperms * homology
+    return {key: d for key, d in table.items() if d}
+
+
+def test_poly_d_matrix_columns_in_lex_order():
+    # the packed column keys index each block in (xexp[::-1], omask) order
+    for n, m, N in ((1, -1, 3), (2, -1, 3), (3, 0, 3), (3, -2, 6), (4, -1, 4)):
+        p, blocks = DgParams(n, m, N), 0
+        table = _generator_images(p)
+        for q in range(-4, 14):
+            for h in range(1, n + 1):
+                here, below = monomials_at(n, m, q, 2 * h), monomials_at(n, m, q + 2 * N, 2 * h - 2)
+                if here and below:
+                    order = sorted(below, key=lambda mono: (mono[0][::-1], mono[1]))
+                    index = {mono: j for j, mono in enumerate(order)}
+                    want = [{index[key]: c for key, c in _d_ring(table, *mono)} for mono in here]
+                    assert list(_poly_d_rows(p, here, below)) == want, (n, m, N, q, h)
+                    blocks += 1
+        assert blocks
 
 
 # the homology points of the dg benchmark catalogue
@@ -461,45 +502,93 @@ DG_CATALOGUE_POINTS = sorted(
 
 
 @pytest.mark.parametrize("n, m, N, qcut", DG_CATALOGUE_POINTS)
-def test_homology_pins_every_block_and_equals_exact_ranks(n, m, N, qcut, monkeypatch):
+def test_homology_equals_the_elimination_oracle(n, m, N, qcut):
     p = DgParams(n, m, N)
-    exact = _exact_table(monkeypatch, p, qcut)
-    built = _blocks_built(monkeypatch)
-    assert homology_ranks(p, qcut) == exact
-    assert all(count == 1 for count in built.values())  # no exact fallback
+    assert homology_ranks(p, qcut) == elimination_homology(p, qcut)
 
 
-def test_homology_falls_back_on_every_block_when_nothing_is_pinned(monkeypatch):
-    # images times 2: d_N^2 = 0 still, the ranks over Q are unchanged, and
-    # every GF(2) rank is 0, so no non-empty block can be pinned
+# n = 0..3, m = -3..2, N = -3..6 with m + N >= 0, each at qcut -9..11
+SMALL_GRID = [(n, m, N) for n in range(4) for m in range(-3, 3) for N in range(-3, 7)
+              if m + N >= 0]
+
+
+@pytest.mark.parametrize("n, m, N", SMALL_GRID)
+def test_homology_equals_the_elimination_oracle_on_a_grid(n, m, N):
+    p = DgParams(n, m, N)
+    for qcut in range(-9, 12):
+        assert homology_ranks(p, qcut) == elimination_homology(p, qcut), qcut
+
+
+def test_homology_of_no_strands():
+    for m, N in ((0, 0), (-1, 3), (2, 0)):
+        for qcut in range(-4, 5):
+            want = {(0, 0): 1} if qcut >= 0 else {}
+            assert homology_ranks(DgParams(0, m, N), qcut) == want == \
+                elimination_homology(DgParams(0, m, N), qcut)
+
+
+def test_doubled_images_give_the_same_table(monkeypatch):
+    # the ranks are over Q, so any nonzero lead coefficient is accepted
     images = dgstructure._generator_images
-    for n, m, N, qcut in ((2, -1, 3, 10), (3, 0, 2, 6), (3, 1, 3, 4)):
+    for n, m, N, qcut in ((2, -1, 3, 10), (3, 0, 2, 6), (3, 1, 3, 4), (3, 0, 1, 8)):
         p = DgParams(n, m, N)
         want = homology_ranks(p, qcut)
         with monkeypatch.context() as patch:
             patch.setattr(dgstructure, "_generator_images", lambda p: tuple(
                 tuple((xe, mask, 2 * c) for xe, mask, c in entry) for entry in images(p)))
-            built = _blocks_built(patch)
             assert homology_ranks(p, qcut) == want
-        needed = {(q, h) for h in range(1, n + 1) for q in range(-60, qcut + n * (n - 1) + 1)
-                  if monomials_at(n, m, q, 2 * h) and monomials_at(n, m, q + 2 * N, 2 * h - 2)}
-        assert needed and {block for block, count in built.items() if count == 2} == needed
-        assert all(count <= 2 for count in built.values())
 
 
-def test_homology_rejects_gf2_ranks_above_the_dimension(monkeypatch):
-    # r_2 <= r_Q and d_N^2 = 0 bound the GF(2) ranks around each chain group
-    from supernilhecke.linalg import rank_gf2
-    monkeypatch.setattr(dgstructure, "rank_gf2", lambda rows: rank_gf2(rows) + 1)
-    with pytest.raises(ArithmeticError):
-        homology_ranks(DgParams(2, -1, 3), 8)
+def _with_images(monkeypatch, n, m, images):
+    """Make homology_ranks read the odd-image table of these images of w_1..w_n."""
+    table = odd_images(n, {i: images.get(i, SuperPolynomial.zero(n, m)) for i in range(1, n + 1)})
+    monkeypatch.setattr(dgstructure, "_generator_images", lambda p: table)
+
+
+def test_homology_rejects_a_lead_that_is_not_a_pure_power(monkeypatch):
+    x = lambda i, k=1: SuperPolynomial.x(2, 0, i, k)
+    for f2 in (x(1) * x(2), x(1) * x(2) + x(1, 2), x(1, 2)):
+        # d^2 = 0 for any images without odd factors, so only the leads fail
+        _with_images(monkeypatch, 2, 0, {1: x(1), 2: f2})
+        with pytest.raises(ArithmeticError, match="power of x_2"):
+            homology_ranks(DgParams(2, 0, 2), 6)
+    # x_2^2 + x_1 x_2 leads with x_2^2: a Groebner basis with x_1, whose
+    # standard monomials 1 and x_2 go under the shifts of T_1 and T_id
+    _with_images(monkeypatch, 2, 0, {1: x(1), 2: x(2, 2) + x(1) * x(2)})
+    assert homology_ranks(DgParams(2, 0, 2), 6) == {(-2, 0): 1, (0, 0): 2, (2, 0): 1}
+
+
+def test_homology_rejects_a_zero_image_with_no_unit(monkeypatch):
+    _with_images(monkeypatch, 2, 0, {1: SuperPolynomial.x(2, 0, 1)})
+    with pytest.raises(ArithmeticError, match="power of x_2"):
+        homology_ranks(DgParams(2, 0, 2), 6)
+    # a unit image makes K(f) contractible, whatever the others are
+    _with_images(monkeypatch, 2, 0, {1: SuperPolynomial.const(2, 0, 3)})
+    assert homology_ranks(DgParams(2, 0, 2), 6) == {}
+
+
+def test_homology_rejects_an_image_that_is_not_homogeneous(monkeypatch):
+    # x_2 + x_1^3 leads with x_2, but the count by degree needs a graded ideal
+    x = lambda i, k=1: SuperPolynomial.x(2, 0, i, k)
+    _with_images(monkeypatch, 2, 0, {1: x(1, 2), 2: x(2) + x(1, 3)})
+    with pytest.raises(ArithmeticError, match="not homogeneous"):
+        homology_ranks(DgParams(2, 0, 2), 6)
+
+
+def test_homology_rejects_a_lead_with_an_odd_factor(monkeypatch):
+    # d(w_1) = x_1 w_2 w_3, d(w_2) = d(w_3) = 0: d^2 = 0, but K(f) is not a
+    # Koszul complex over Q[x]
+    w = lambda i: SuperPolynomial.w(3, 0, i)
+    _with_images(monkeypatch, 3, 0, {1: SuperPolynomial.x(3, 0, 1) * w(2) * w(3)})
+    with pytest.raises(ArithmeticError, match="odd factor"):
+        homology_ranks(DgParams(3, 0, 3), 6)
 
 
 @pytest.mark.parametrize("n, L", [(2, 2), (3, 3)])
 def test_homology_rejects_d_squared_nonzero_over_the_integers(monkeypatch, n, L):
-    # Mod 2 a sign is invisible, and here every block is pinned by GF(2)
-    # ranks, which is exact only if d^2 = 0 over Z: a table with a wrong sign
-    # (d^2(w_1 w_2) = 2 d(w_1) d(w_2)) would print these same ranks
+    # The count reads only the images of the single w_i, so a table with a
+    # wrong sign in d(w_1 w_2) (then d^2(w_1 w_2) = 2 d(w_1) d(w_2)) would
+    # print these same ranks, though the Koszul theorem needs d^2 = 0 over Z
     table = homology_ranks(DgParams(n, 0, L), 10)
     assert {q: d for (q, _), d in table.items()} == nilhecke_cyclotomic_grdim(n, L, 10)
     # so homology_ranks checks d^2 on the whole odd-image table: here
@@ -509,28 +598,3 @@ def test_homology_rejects_d_squared_nonzero_over_the_integers(monkeypatch, n, L)
                                                    for i in range(1, p.n + 1)}))
     with pytest.raises(ArithmeticError):
         homology_ranks(DgParams(n, 0, L), 10)
-
-
-@pytest.mark.parametrize("r2, dims, r_q, want", [
-    # Z <-(2 0)- Z^2 <-(0 1)^T- Z: d_1 has GF(2) rank 0 below its rank 1, d_2
-    # is pinned by C_2, and d_1 by nothing
-    ([0, 0, 1], [1, 2, 1], [0, 1, 1], [0, None, 1]),
-    # Z <-(1 0)- Z^2 <-(0 2)^T- Z: d_1 is pinned by C_0 (the codomain side),
-    # d_2 by nothing
-    ([0, 1, 0], [1, 2, 1], [0, 1, 1], [0, 1, None]),
-    # Z^2 <-diag(1, 2)- Z^2, and the zero complex around it
-    ([0, 1], [2, 2], [0, 2], [0, None]),
-    ([0, 0, 0], [0, 0, 0], [0, 0, 0], [0, 0, 0]),
-], ids=["d1-unpinned", "d1-pinned-by-its-codomain", "diag-1-2", "zero"])
-def test_pinned_ranks_certify_only_rational_ranks(r2, dims, r_q, want):
-    # each GF(2) rank here is at most its rational rank r_q, and below it
-    # somewhere, so a certificate that reads a wrong neighbour pins a wrong rank
-    assert all(a <= b for a, b in zip(r2, r_q))
-    got = pinned_ranks(r2, dims)
-    assert all(r is None or r == r_q[h] for h, r in enumerate(got))
-    assert got == want
-
-
-def test_pinned_ranks_reject_gf2_ranks_above_a_dimension():
-    with pytest.raises(ArithmeticError):
-        pinned_ranks([0, 1, 1], [1, 1, 1])
