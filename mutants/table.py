@@ -13,9 +13,11 @@ from dataclasses import dataclass
 ALGEBRA = "src/supernilhecke/algebra.py"
 DGSTRUCTURE = "src/supernilhecke/dgstructure.py"
 INVARIANTS = "src/supernilhecke/invariants.py"
+CLI = "src/supernilhecke/cli.py"
 T_ALGEBRA = "tests/test_algebra.py::"
 T_DG = "tests/test_dgstructure.py::"
 ROUND_TRIP = "tests/test_invariants.py::test_decompose_over_invariants_round_trip"
+CORRUPTED_SCHUR = "tests/test_cli.py::test_schur_suite_agrees_with_all_pairs_on_corrupted_tables"
 
 
 @dataclass(frozen=True)
@@ -139,6 +141,20 @@ MUTANTS = (
         "u = symgroup.compose(v, w0)",
         "u = symgroup.compose(w0, v)",
         kill=(ROUND_TRIP,),
+    ),
+    Mutant(
+        # with S_0,() = 2 every other checked pair still holds
+        "suite-schur-drops-unit-pairs", CLI,
+        "[((), beta) for beta in betas]\n             + ",
+        "",
+        kill=(CORRUPTED_SCHUR + "[1]", CORRUPTED_SCHUR + "[2]"),
+    ),
+    Mutant(
+        # at n = 1, E_1 + 1 fails only the pair ((1), (1))
+        "suite-schur-skips-equal-generators", CLI,
+        "for bp in range(1, n + 1)]",
+        "for bp in range(1, n + 1) if b != bp]",
+        kill=(CORRUPTED_SCHUR + "[1]",),
     ),
     Mutant(
         "check-columns-max-below-zero", "src/supernilhecke/linalg.py",

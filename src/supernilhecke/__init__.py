@@ -25,7 +25,7 @@ from .induction import (
 from .invariants import (
     Superpartition, decompose_over_invariants, eps_sign,
     invariant_basis_at_lambda, is_invariant, recombine_over_invariants,
-    schubert, schur_super, schur_zero, schur_zero_product, strict_partitions,
+    schubert, schur_super, schur_zero, strict_partitions,
 )
 from .superring import (
     SuperPolynomial, apply_perm, apply_simple, complete_h, demazure,

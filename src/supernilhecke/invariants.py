@@ -69,12 +69,6 @@ def eps_sign(beta, betap) -> tuple[int, tuple[int, ...]]:
     return sign, tuple(sorted(beta + betap))
 
 
-def schur_zero_product(n: int, m: int, beta, betap) -> SuperPolynomial:
-    """Product of two beta-only Schur superpolynomials, computed by ring
-    multiplication; equals the signed Schur of the merged partition."""
-    return schur_zero(n, m, beta) * schur_zero(n, m, betap)
-
-
 def schubert(n: int, m: int, p: Perm) -> SuperPolynomial:
     """Schubert polynomial for p: Demazure along p^{-1} w_0 applied to the
     staircase monomial."""

@@ -8,11 +8,13 @@ from pathlib import Path
 import pytest
 
 import supernilhecke
-from supernilhecke.algebra import AlgebraElement, random_element
+import supernilhecke.cli as cli
+from supernilhecke.algebra import AlgebraElement, basis_counts, random_element
 from supernilhecke.cli import main
 from supernilhecke.exprparse import (
     MAX_NESTING, ParseError, evaluate_algebra, evaluate_ring, parse,
 )
+from supernilhecke.invariants import eps_sign, schur_zero, strict_partitions
 from supernilhecke.superring import SuperPolynomial, labeled_omega
 
 
@@ -125,6 +127,60 @@ def test_verify_suites(capsys):
         assert code == 0, (suite, out)
         payload = json.loads(out)
         assert payload["suites"][suite]["passed"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "basis", "--n", "2", "--qcut", "-1"),
+    ("verify", "basis", "--n", "2", "--m", "0", "--qcut", "-2"),
+    ("verify", "all", "--n", "2", "--qcut", "-2"),
+])
+def test_verify_below_the_lowest_degree_of_a_smaller_algebra(capsys, argv):
+    # A_0 (and A_1 at m = 0) has no basis element at q <= qcut: its window is
+    # empty, while A_1 and A_2 have elements at q <= -2
+    assert basis_counts(0, -1, -1) == {} and basis_counts(1, 0, -2) == {}
+    assert basis_counts(1, -1, -2) and basis_counts(2, 0, -2)
+    code, out = run_cli(capsys, *argv)
+    assert code == 0, out
+    assert all(suite["passed"] for suite in json.loads(out)["suites"].values())
+
+
+def all_pairs_rule_fails(table, n, m):
+    """Whether the Schur product rule fails on some pair of the table's keys."""
+    for beta in table:
+        for betap in table:
+            sign, merged = eps_sign(beta, betap)
+            want = table[merged].scale(sign) if sign else SuperPolynomial.zero(n, m)
+            if table[beta] * table[betap] != want:
+                return True
+    return False
+
+
+def corrupted_schur_tables(n, m):
+    """(name, table) pairs: the true table of S_{0,beta} and corruptions of it."""
+    true = {beta: schur_zero(n, m, beta) for beta in strict_partitions(n)}
+    yield "true", true
+    for beta in true:
+        for c in (2, -1):
+            yield f"S_0,{beta} times {c}", {**true, beta: true[beta].scale(c)}
+    for b in range(1, n + 1):
+        for bp in range(1, n + 1):
+            if b != bp:
+                yield f"E_{b} + E_{bp}", {**true, (b,): true[(b,)] + true[(bp,)]}
+    yield "all 1", {beta: SuperPolynomial.one(n, m) for beta in true}
+    yield "all 0", {beta: SuperPolynomial.zero(n, m) for beta in true}
+    if n == 1:
+        # only the pair ((1), (1)) fails: (E_1 + 1)^2 = 2 E_1 + 1
+        yield "E_1 + 1", {**true, (1,): true[(1,)] + SuperPolynomial.one(n, m)}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_schur_suite_agrees_with_all_pairs_on_corrupted_tables(monkeypatch, n):
+    m = -1
+    for name, table in corrupted_schur_tables(n, m):
+        monkeypatch.setattr(cli, "schur_zero", lambda n, m, beta: table[tuple(beta)])
+        failures = cli.suite_schur(n, m, 0, 0)
+        assert not any("invariant" in msg for msg in failures), name
+        assert bool(failures) == all_pairs_rule_fails(table, n, m), name
 
 
 def test_verify_dg_and_ses(capsys):

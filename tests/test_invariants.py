@@ -7,7 +7,7 @@ from supernilhecke import symgroup as sg
 from supernilhecke.invariants import (
     Superpartition, decompose_over_invariants, eps_sign,
     invariant_basis_at_lambda, is_invariant, recombine_over_invariants,
-    schubert, schur_super, schur_zero, schur_zero_product, strict_partitions,
+    schubert, schur_super, schur_zero, strict_partitions,
 )
 from supernilhecke.linalg import IntEchelon, rank
 from supernilhecke.superring import (
@@ -93,9 +93,10 @@ def test_schur_multiplication_rule():
 
 def test_schur_multiplication_examples():
     n, m = 3, -1
-    assert schur_zero_product(n, m, (1,), (2,)) == schur_zero(n, m, (1, 2))
-    assert schur_zero_product(n, m, (2,), (1,)) == -schur_zero(n, m, (1, 2))
-    assert schur_zero_product(n, m, (2,), (2,)).is_zero()
+    e1, e2 = schur_zero(n, m, (1,)), schur_zero(n, m, (2,))
+    assert e1 * e2 == schur_zero(n, m, (1, 2))
+    assert e2 * e1 == -schur_zero(n, m, (1, 2))
+    assert (e2 * e2).is_zero()
 
 
 def test_schur_triangularity():

@@ -45,6 +45,15 @@ def test_odd_generators_anticommute():
         SuperPolynomial.monomial(3, -1, (2, 0, 0), 0) + SuperPolynomial.monomial(3, -1, (1, 1, 0), 0)
 
 
+def test_mul_associative_on_mixed_parity_elements():
+    rng = random.Random(12)
+    for n in (1, 2, 3, 4):
+        for m in (-1, 0):
+            for _ in range(20):
+                f, g, h = (random_poly(n, m, rng, nterms=4, maxexp=2) for _ in range(3))
+                assert (f * g) * h == f * (g * h), (n, m, f, g, h)
+
+
 def test_ring_mismatch_rejected():
     with pytest.raises(ValueError):
         SuperPolynomial.x(2, -1, 1) * SuperPolynomial.x(2, 0, 1)
